@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
+F64 = np.dtype(np.float64)
 
 
 class AutodiffError(Exception):
@@ -350,22 +351,25 @@ def pad2d_replicate(x: Tensor, p: int) -> Tensor:
     inputs constant, unlike zero padding."""
     if x.values.ndim != 4:
         raise DimensionError("pad2d_replicate expects NCHW input")
-    xv = x.values
-    n, c, h, w = xv.shape
-    ri = np.clip(np.arange(-p, h + p), 0, h - 1)
-    ci = np.clip(np.arange(-p, w + p), 0, w - 1)
-    ov = xv[:, :, ri][:, :, :, ci]
+    h, w = x.shape[2:]
+    ri, ci = (np.clip(np.arange(-p, s + p), 0, s - 1) for s in (h, w))
+    ov = x.values[:, :, ri][:, :, :, ci]
+    return _apply([x], ov, lambda needs: lambda g: (_fold_edges(_fold_edges(g, p, 2), p, 3),))
 
-    def vjp_builder(needs):
-        def vjp(g):
-            tmp = np.zeros((n, c, h, w + 2 * p), dtype=xv.dtype)
-            np.add.at(tmp, (slice(None), slice(None), ri), g)
-            dx = np.zeros((n, c, h, w), dtype=xv.dtype)
-            np.add.at(dx, (slice(None), slice(None), slice(None), ci), tmp)
-            return (dx,)
-        return vjp
 
-    return _apply([x], ov, vjp_builder)
+def _fold_edges(g: np.ndarray, p: int, axis: int) -> np.ndarray:
+    """Adjoint of edge replication by p along ``axis``: each padded slab is
+    added onto its edge in index order, so every element sums its terms in
+    the order ``np.add.at`` over the clipped index would."""
+    size = g.shape[axis] - 2 * p
+    at = (slice(None),) * axis
+    out = np.zeros(g.shape[:axis] + (size,) + g.shape[axis + 1:], dtype=g.dtype)
+    for r in range(p):
+        out[at + (0,)] += g[at + (r,)]
+    out += g[at + (slice(p, p + size),)]
+    for r in range(p + size, size + 2 * p):
+        out[at + (size - 1,)] += g[at + (r,)]
+    return out
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:
@@ -576,9 +580,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
            dilation: int = 1, groups: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution, x:(N,C,H,W) w:(O,I,k,k) with I = C/groups.
 
-    Forward gathers an im2col matrix and runs one grouped matmul; the
-    backward scatters the column gradient back with a bincount-based
-    col2im (deterministic accumulation order).
+    Forward gathers a C-contiguous im2col matrix and runs one grouped
+    matmul. The backward folds the column gradient back (col2im) with k*k
+    strided slice-adds into a float64 buffer, one per kernel tap in
+    (ky, kx) order, so each input pixel sums its terms in a fixed order.
     """
     xv, wv = x.values, w.values
     if xv.ndim != 4 or wv.ndim != 4:
@@ -602,12 +607,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     # pointwise fast path: the column matrix is just a reshape of x
     pointwise = k == 1 and stride == 1 and pad == 0
     if pointwise:
-        idx = hp = wp = None
+        hp = wp = None
         col = xv.reshape(n, c, ho * wo)
     else:
         idx, hp, wp, _, _ = _im2col_index(c, h, ww, k, stride, dilation, pad)
         xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xv
-        col = xp.reshape(n, c * hp * wp)[:, idx.ravel()].reshape(n, c * k * k, ho * wo)
+        col = np.take(xp.reshape(n, c * hp * wp), idx.ravel(), axis=1)
     og, ckkg = o // groups, i * k * k
     colg = col.reshape(n, groups, ckkg, ho * wo)
     wg = wv.reshape(groups, og, ckkg)
@@ -632,15 +637,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
                 if pointwise:
                     dx = dcol.reshape(n, c, h, ww)
                 else:
-                    flat = idx.ravel()
-                    span = c * hp * wp
-                    all_idx = (np.arange(n, dtype=np.intp)[:, None] * span
-                               + flat[None, :]).ravel()
-                    dxp = np.bincount(all_idx,
-                                      weights=dcol.reshape(n, -1).ravel().astype(np.float64),
-                                      minlength=n * span)
-                    dxp = dxp.reshape(n, c, hp, wp).astype(xv.dtype)
-                    dx = dxp[:, :, pad:pad + h, pad:pad + ww] if pad else dxp
+                    # channels-last buffer: each slice-add runs its inner loop over n*c
+                    taps = dcol.reshape(n * c, k, k, ho, wo).transpose(1, 2, 3, 4, 0)
+                    dxp = np.zeros((hp, wp, n * c))
+                    ey, ex = stride * (ho - 1) + 1, stride * (wo - 1) + 1
+                    for ky in range(k):
+                        for kx in range(k):
+                            y0, x0 = ky * dilation, kx * dilation
+                            dxp[y0:y0 + ey:stride, x0:x0 + ex:stride] += taps[ky, kx]
+                    dx = (dxp[pad:pad + h, pad:pad + ww].transpose(2, 0, 1)
+                          .astype(xv.dtype, order="C").reshape(n, c, h, ww))
             outs = [dx, dw]
             if b is not None:
                 outs.append(db)
@@ -727,60 +733,45 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
 
 @lru_cache(maxsize=256)
-def _resize_coeffs(in_size: int, out_size: int):
-    """Half-pixel bilinear source indices and weights for one axis."""
-    scale = in_size / out_size
-    src = (np.arange(out_size) + 0.5) * scale - 0.5
-    src = np.clip(src, 0.0, in_size - 1.0)
-    i0 = np.floor(src).astype(np.intp)
-    i1 = np.minimum(i0 + 1, in_size - 1)
-    w1 = src - i0
-    return i0, i1, w1
+def _resize_matrix(in_size: int, out_size: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only (out, in) bilinear interpolation matrix for one axis: row o
+    is the tent function around o's half-pixel source position, so it holds
+    the two source weights 1 - f and f."""
+    src = np.clip((np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5, 0.0, in_size - 1.0)
+    r = np.maximum(0.0, 1.0 - np.abs(src[:, None] - np.arange(in_size))).astype(dtype)
+    r.flags.writeable = False
+    return r
 
 
 def bilinear_resize_array(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Plain-numpy bilinear resize of the trailing two axes (half-pixel centers)."""
+    """Plain-numpy bilinear resize of the trailing two axes (half-pixel
+    centers), as the separable product Ry @ arr @ Rx^T."""
     h, w = arr.shape[-2], arr.shape[-1]
-    y0, y1, wy = _resize_coeffs(h, out_h)
-    x0, x1, wx = _resize_coeffs(w, out_w)
-    wy = wy.astype(arr.dtype)
-    wx = wx.astype(arr.dtype)
-    rows0 = arr[..., y0, :] * (1 - wy)[:, None] + arr[..., y1, :] * wy[:, None]
-    return rows0[..., :, x0] * (1 - wx) + rows0[..., :, x1] * wx
+    ry = _resize_matrix(h, out_h, arr.dtype)
+    rx = _resize_matrix(w, out_w, arr.dtype)
+    return ry @ (arr @ rx.T)
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize of an NCHW tensor with half-pixel sample centers."""
+    """Bilinear resize of an NCHW tensor with half-pixel sample centers.
+
+    The op is linear and separable, Y = Ry X Rx^T with one cached
+    interpolation matrix per axis; the backward is Ry^T G Rx, computed in
+    float64 and cast back to the input dtype.
+    """
     if out_h < 1 or out_w < 1:
         raise DimensionError("bilinear_resize: output size must be >= 1")
     xv = x.values
     if xv.ndim != 4:
         raise DimensionError("bilinear_resize expects NCHW input")
-    n, c, h, w = xv.shape
+    h, w = xv.shape[2:]
     ov = bilinear_resize_array(xv, out_h, out_w)
 
-    def vjp_builder(needs):
-        def vjp(g):
-            y0, y1, wy = _resize_coeffs(h, out_h)
-            x0, x1, wx = _resize_coeffs(w, out_w)
-            wy = wy.astype(xv.dtype)
-            wx = wx.astype(xv.dtype)
-            # scatter the four corner contributions back onto the input grid
-            gy0 = g * (1 - wy)[:, None]
-            gy1 = g * wy[:, None]
-            span = h * w
-            base = np.arange(n * c, dtype=np.intp)[:, None] * span
-            acc = np.zeros(n * c * span, dtype=np.float64)
-            for yi, xi, term in ((y0, x0, gy0 * (1 - wx)), (y0, x1, gy0 * wx),
-                                 (y1, x0, gy1 * (1 - wx)), (y1, x1, gy1 * wx)):
-                lin = (yi[:, None] * w + xi[None, :]).ravel()
-                idx = (base + lin[None, :]).ravel()
-                acc += np.bincount(idx, weights=term.reshape(n * c, -1).ravel()
-                                   .astype(np.float64), minlength=n * c * span)
-            return (acc.reshape(n, c, h, w).astype(xv.dtype),)
-        return vjp
+    def vjp(g):
+        ry, rx = _resize_matrix(h, out_h, F64), _resize_matrix(w, out_w, F64)
+        return ((ry.T @ (g.astype(F64, copy=False) @ rx)).astype(xv.dtype, copy=False),)
 
-    return _apply([x], ov, vjp_builder)
+    return _apply([x], ov, lambda needs: vjp)
 
 
 def grid_sample_bilinear(x: Tensor, points: Tensor) -> Tensor:

@@ -42,27 +42,27 @@ def write_tensor_file(path: str, arr: np.ndarray) -> None:
         fh.write(tensor_to_bytes(arr))
 
 
+def read_exact(fh, size: int, what: str) -> bytes:
+    """Read exactly ``size`` bytes; a short read raises FormatError."""
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(f"truncated {what}")
+    return raw
+
+
 def read_tensor_stream(fh) -> np.ndarray:
     magic = fh.read(4)
     if magic != _MAGIC:
         raise FormatError(f"bad magic {magic!r}")
-    raw = fh.read(6)
-    if len(raw) != 6:
-        raise FormatError("truncated header")
-    version, code, ndim = struct.unpack("<IBB", raw)
+    version, code, ndim = struct.unpack("<IBB", read_exact(fh, 6, "header"))
     if version != _VERSION:
         raise FormatError(f"unsupported version {version}")
     if code not in _DTYPE_CODES:
         raise FormatError(f"unknown dtype code {code}")
-    raw = fh.read(4 * ndim)
-    if len(raw) != 4 * ndim:
-        raise FormatError("truncated dims")
-    shape = struct.unpack(f"<{ndim}I", raw)
+    shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, "dims"))
     dtype = _DTYPE_CODES[code]
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    payload = fh.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
-        raise FormatError("truncated payload")
+    payload = read_exact(fh, count * dtype.itemsize, "payload")
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 

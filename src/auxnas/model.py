@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor, check_finite
-from .data import read_tensor_stream, tensor_to_bytes
+from .data import FormatError, read_exact, read_tensor_stream, tensor_to_bytes
 from .layers import Aspp, BuildCtx, ConvBN, TaskHead
 
 TAP_CHANNELS = (8, 16, 24, 32)
@@ -194,11 +194,16 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
-        version, hlen = struct.unpack("<IQ", fh.read(12))
+        version, hlen = struct.unpack("<IQ", read_exact(fh, 12, "checkpoint header"))
         if version != _CKPT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen))
+        header = json.loads(read_exact(fh, hlen, "checkpoint header"))
+        if header.get("tap_channels") != list(TAP_CHANNELS):
+            raise ConfigError(f"{path}: tap_channels {header.get('tap_channels')}, "
+                              f"expected {list(TAP_CHANNELS)}")
         state = {}
         for entry in header["params"]:
             state[entry["name"]] = read_tensor_stream(fh)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after the last tensor")
     return header, state

@@ -112,6 +112,14 @@ class TestTrain:
         assert main(["train", "--config", cfg2, "--strategy", "prior-t1",
                      "--init-ckpt", ckpt]) == 0
 
+    def test_truncated_init_ckpt_is_io_error(self, workdir, capsys):
+        bad = workdir / "truncated.ckpt"
+        bad.write_bytes(b"CKPT" + bytes(6))  # magic, then 6 of the 12 header bytes
+        cfg = write_cfg(workdir, "trunc_prior")
+        assert main(["train", "--config", cfg, "--strategy", "prior-t1",
+                     "--init-ckpt", str(bad)]) == 3
+        assert "truncated checkpoint header" in capsys.readouterr().err
+
     def test_missing_dataset_is_io_error(self, workdir):
         cfg_path = workdir / "nodata.json"
         cfg_path.write_text(json.dumps({"data": {"dir": str(workdir / "missing")},

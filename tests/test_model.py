@@ -1,9 +1,13 @@
 """Model variants: shapes, parameter partition, task isolation, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from auxnas import autodiff as ad
+from auxnas.data import FormatError
 from auxnas.model import (
     ConfigError,
     TaskSpec,
@@ -138,3 +142,33 @@ class TestCheckpoint:
         m.params.load_state_dict(state, paths=m.params.tagged("shared"))
         for p in m.params.tagged("shared"):
             assert np.array_equal(m.params[p].values, state[p])
+
+    def saved(self, tmp_path):
+        m = build_model("baseline", TASKS2, rng())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), m.params, m.variant, m.tasks)
+        return path
+
+    @pytest.mark.parametrize("keep", [4, 10, 16, 40])
+    def test_truncated_header_is_format_error(self, tmp_path, keep):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError, match="truncated checkpoint header"):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="trailing bytes"):
+            load_checkpoint(str(path))
+
+    def test_foreign_tap_channels_rejected(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        header["tap_channels"] = [8, 16, 24, 64]
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:])
+        with pytest.raises(ConfigError, match="tap_channels"):
+            load_checkpoint(str(path))

@@ -385,3 +385,166 @@ class TestParamSet:
         ps.zero_grad()
         assert np.array_equal(t.grad, np.zeros(3))
         assert ps["state"].grad is None
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the gather / scatter algorithms that the dense kernels
+# replaced, kept as oracles. conv2d's dx and pad2d_replicate's dx must match
+# them bit for bit; the resize kernels reorder floating-point sums, so they
+# must agree to rounding.
+# ---------------------------------------------------------------------------
+
+
+def ref_conv2d(xv, wv, g, stride, dilation, groups, pad):
+    """Strided fancy-index im2col, bincount col2im. Returns (y, dx, dw)."""
+    n, c, h, ww = xv.shape
+    o, i, k, _ = wv.shape
+    idx, hp, wp, ho, wo = ad._im2col_index(c, h, ww, k, stride, dilation, pad)
+    xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    col = xp.reshape(n, c * hp * wp)[:, idx.ravel()].reshape(n, c * k * k, ho * wo)
+    og, ckkg = o // groups, i * k * k
+    colg = col.reshape(n, groups, ckkg, ho * wo)
+    wg = wv.reshape(groups, og, ckkg)
+    y = np.matmul(wg[None], colg).reshape(n, o, ho, wo)
+    gg = g.reshape(n, groups, og, ho * wo)
+    dw = np.matmul(gg, colg.swapaxes(-1, -2)).sum(axis=0).reshape(o, i, k, k)
+    dcol = np.matmul(wg.swapaxes(-1, -2)[None], gg)
+    span = c * hp * wp
+    all_idx = (np.arange(n, dtype=np.intp)[:, None] * span + idx.ravel()[None, :]).ravel()
+    dxp = np.bincount(all_idx, weights=dcol.reshape(n, -1).ravel().astype(np.float64),
+                      minlength=n * span)
+    dxp = dxp.reshape(n, c, hp, wp).astype(xv.dtype)
+    return y, dxp[:, :, pad:pad + h, pad:pad + ww], dw
+
+
+def ref_pad2d_replicate(xv, g, p):
+    """Clipped-index gather forward, np.add.at backward. Returns (y, dx)."""
+    n, c, h, w = xv.shape
+    ri = np.clip(np.arange(-p, h + p), 0, h - 1)
+    ci = np.clip(np.arange(-p, w + p), 0, w - 1)
+    tmp = np.zeros((n, c, h, w + 2 * p), dtype=g.dtype)
+    np.add.at(tmp, (slice(None), slice(None), ri), g)
+    dx = np.zeros((n, c, h, w), dtype=g.dtype)
+    np.add.at(dx, (slice(None), slice(None), slice(None), ci), tmp)
+    return xv[:, :, ri][:, :, :, ci], dx
+
+
+def ref_resize_coeffs(in_size, out_size):
+    src = np.clip((np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5, 0.0, in_size - 1.0)
+    i0 = np.floor(src).astype(np.intp)
+    return i0, np.minimum(i0 + 1, in_size - 1), src - i0
+
+
+def ref_resize(arr, out_h, out_w):
+    """Four-tap gather forward."""
+    y0, y1, wy = ref_resize_coeffs(arr.shape[-2], out_h)
+    x0, x1, wx = ref_resize_coeffs(arr.shape[-1], out_w)
+    wy, wx = wy.astype(arr.dtype), wx.astype(arr.dtype)
+    rows = arr[..., y0, :] * (1 - wy)[:, None] + arr[..., y1, :] * wy[:, None]
+    return rows[..., :, x0] * (1 - wx) + rows[..., :, x1] * wx
+
+
+def ref_resize_dx(g, h, w):
+    """Four-corner bincount scatter backward, accumulated in float64."""
+    n, c, out_h, out_w = g.shape
+    y0, y1, wy = ref_resize_coeffs(h, out_h)
+    x0, x1, wx = ref_resize_coeffs(w, out_w)
+    wy, wx = wy.astype(g.dtype), wx.astype(g.dtype)
+    gy0, gy1 = g * (1 - wy)[:, None], g * wy[:, None]
+    base = np.arange(n * c, dtype=np.intp)[:, None] * (h * w)
+    acc = np.zeros(n * c * h * w)
+    for yi, xi, term in ((y0, x0, gy0 * (1 - wx)), (y0, x1, gy0 * wx),
+                         (y1, x0, gy1 * (1 - wx)), (y1, x1, gy1 * wx)):
+        lin = (yi[:, None] * w + xi[None, :]).ravel()
+        acc += np.bincount((base + lin[None, :]).ravel(),
+                           weights=term.reshape(n * c, -1).ravel().astype(np.float64),
+                           minlength=n * c * h * w)
+    return acc.reshape(n, c, h, w).astype(g.dtype)
+
+
+def taped_grads(fn, xs, g):
+    """Run fn(*xs) on a tape with upstream gradient exactly g; returns the
+    output values and the input grads."""
+    with Tape() as tape:
+        y = fn(*xs)
+        tape.backward(ad.reduce_sum(ad.mul(y, constant(g, dtype=g.dtype))))
+    return y.values, [x.grad for x in xs]
+
+
+DTYPES = [np.float32, np.float64]
+RESIZE_TOL = {np.float32: 1e-6, np.float64: 1e-12}
+RESIZE_SHAPES = [((3, 4), (5, 3)), ((1, 2), (1, 4)), ((2, 2), (32, 32)),
+                 ((16, 16), (32, 32)), ((32, 32), (8, 8)), ((7, 5), (2, 9)), ((5, 7), (5, 7))]
+
+
+def close_to(a, ref, tol):
+    assert a.dtype == ref.dtype and a.shape == ref.shape
+    assert np.abs(a - ref).max() <= tol * np.abs(ref).max()
+
+
+class TestConvReference:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("groups", [1, 4])
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_gather_bincount(self, rng, stride, dilation, pad, groups, dtype):
+        xv = rng.standard_normal((2, 4, 9, 8)).astype(dtype)
+        wv = rng.standard_normal((8, 4 // groups, 3, 3)).astype(dtype)
+        ho = ad.conv_out_size(9, 3, stride, dilation, pad)
+        wo = ad.conv_out_size(8, 3, stride, dilation, pad)
+        g = rng.standard_normal((2, 8, ho, wo)).astype(dtype)
+        y_ref, dx_ref, dw_ref = ref_conv2d(xv, wv, g, stride, dilation, groups, pad)
+        y, (dx, dw) = taped_grads(
+            lambda x, w: ad.conv2d(x, w, stride=stride, dilation=dilation, groups=groups,
+                                   pad=pad),
+            [parameter(xv), parameter(wv)], g)
+        assert dx.dtype == dtype and np.array_equal(dx, dx_ref)
+        if groups == 1:
+            assert np.array_equal(y, y_ref) and np.array_equal(dw, dw_ref)
+        else:  # depthwise matmuls may round differently by an ulp
+            tol = 4 * np.finfo(dtype).eps
+            close_to(y, y_ref, tol)
+            close_to(dw, dw_ref, tol)
+
+
+class TestPadReplicateReference:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 4), (1, 2, 1, 3), (1, 1, 6, 1)])
+    def test_matches_gather_add_at(self, rng, shape, p, dtype):
+        n, c, h, w = shape
+        xv = rng.standard_normal(shape).astype(dtype)
+        g = rng.standard_normal((n, c, h + 2 * p, w + 2 * p)).astype(dtype)
+        y, (dx,) = taped_grads(lambda x: ad.pad2d_replicate(x, p), [parameter(xv)], g)
+        y_ref, dx_ref = ref_pad2d_replicate(xv, g, p)
+        assert np.array_equal(y, y_ref)
+        assert dx.dtype == dtype and np.array_equal(dx, dx_ref)
+
+
+class TestResizeReference:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("src,dst", RESIZE_SHAPES)
+    def test_matches_gather_and_scatter(self, rng, src, dst, dtype):
+        xv = rng.standard_normal((2, 3) + src).astype(dtype)
+        g = rng.standard_normal((2, 3) + dst).astype(dtype)
+        y, (dx,) = taped_grads(lambda x: ad.bilinear_resize(x, *dst), [parameter(xv)], g)
+        close_to(y, ref_resize(xv, *dst), RESIZE_TOL[dtype])
+        close_to(dx, ref_resize_dx(g, *src), RESIZE_TOL[dtype])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("src,dst", RESIZE_SHAPES)
+    def test_matrix_rows_sum_to_one(self, src, dst, dtype):
+        for n_in, n_out in zip(src, dst):
+            r = ad._resize_matrix(n_in, n_out, np.dtype(dtype))
+            assert r.shape == (n_out, n_in) and r.dtype == dtype and not r.flags.writeable
+            assert (r >= 0).all()
+            assert np.abs(r.sum(axis=1, dtype=np.float64) - 1).max() <= np.finfo(dtype).eps
+
+    @pytest.mark.parametrize("src,dst", RESIZE_SHAPES)
+    def test_backward_is_adjoint(self, rng, src, dst):
+        x = rng.standard_normal((2, 3) + src)
+        g = rng.standard_normal((2, 3) + dst)
+        y, (dx,) = taped_grads(lambda t: ad.bilinear_resize(t, *dst), [parameter(x)], g)
+        lhs, rhs = float((y * g).sum()), float((x * dx).sum())
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
