@@ -894,6 +894,16 @@ class ParamSet:
     def trainable(self, path: str) -> bool:
         return self._trainable[path]
 
+    def trainable_items(self):
+        """(path, tensor) per trainable entry, in registration order; an
+        entry without a gradient raises."""
+        for p, t in self._items.items():
+            if not self._trainable[p]:
+                continue
+            if t.grad is None:
+                raise ContractError(f"missing gradient for {p!r}")
+            yield p, t
+
     def tagged(self, *tags: str) -> list[str]:
         want = set(tags)
         return [p for p, t in self._tags.items() if t in want]

@@ -132,6 +132,13 @@ def load_genotype(path: str) -> Genotype:
 # ---------------------------------------------------------------------------
 
 
+def _align(x: Tensor, ref_hw: tuple[int, int]) -> Tensor:
+    """Bilinear-resize x to ref_hw unless it already has that size."""
+    if x.shape[2:] != ref_hw:
+        return ad.bilinear_resize(x, *ref_hw)
+    return x
+
+
 class BasicAuxModule:
     """Hand-designed chain for one task: adapt the first tap, then fold in
     each later tap through an aggregator (h_p = h_{p-1} (+) D_p(O_{p+1}))."""
@@ -151,16 +158,10 @@ class BasicAuxModule:
         self.head = TaskHead(ctx, f"{prefix}.head", tag, c_aux, task.out_channels, task.kind)
 
     def forward(self, taps: list[Tensor], out_hw: tuple[int, int], mode: str) -> Tensor:
-        ref_h, ref_w = taps[0].shape[2], taps[0].shape[3]
-
-        def align(x):
-            if x.shape[2] != ref_h or x.shape[3] != ref_w:
-                return ad.bilinear_resize(x, ref_h, ref_w)
-            return x
-
-        h = align(self.adaptors[0](taps[0], mode))
+        ref_hw = taps[0].shape[2:]
+        h = _align(self.adaptors[0](taps[0], mode), ref_hw)
         for p in range(1, len(taps)):
-            adapted = align(self.adaptors[p](taps[p], mode))
+            adapted = _align(self.adaptors[p](taps[p], mode), ref_hw)
             h = self.aggs[p - 1](h, adapted, mode)
         return self.head(h, out_hw[0], out_hw[1], mode)
 
@@ -204,24 +205,16 @@ class GenotypeAuxSet:
             self.heads[ti + 1] = TaskHead(ctx, f"aux.t{ti + 1}.head", tag, c_aux,
                                           task.out_channels, task.kind)
 
-    def forward(self, taps: list[Tensor], out_hw: tuple[int, int], mode: str,
-                detach_taps: bool = False) -> dict[int, Tensor]:
+    def forward(self, taps: list[Tensor], out_hw: tuple[int, int],
+                mode: str) -> dict[int, Tensor]:
         if len(taps) != self.genotype.p:
             raise GenotypeError(f"expected {self.genotype.p} taps, got {len(taps)}")
-        if detach_taps:
-            taps = [ad.detach(t) for t in taps]
-        ref_h, ref_w = taps[0].shape[2], taps[0].shape[3]
-
-        def align(x):
-            if x.shape[2] != ref_h or x.shape[3] != ref_w:
-                return ad.bilinear_resize(x, ref_h, ref_w)
-            return x
-
+        ref_hw = taps[0].shape[2:]
         locs = list(taps)
         p = self.genotype.p
         for bc in self.built:
-            a1 = align(bc.op1(locs[bc.cell.in1], mode))
-            a2 = align(bc.op2(locs[bc.cell.in2], mode))
+            a1 = _align(bc.op1(locs[bc.cell.in1], mode), ref_hw)
+            a2 = _align(bc.op2(locs[bc.cell.in2], mode), ref_hw)
             locs.append(bc.agg(a1, a2, mode))
         preds = {}
         for t, head in self.heads.items():
@@ -236,10 +229,8 @@ class BasicAuxSet:
     def __init__(self, modules: dict[int, BasicAuxModule]):
         self.modules = modules
 
-    def forward(self, taps: list[Tensor], out_hw: tuple[int, int], mode: str,
-                detach_taps: bool = False) -> dict[int, Tensor]:
-        if detach_taps:
-            taps = [ad.detach(t) for t in taps]
+    def forward(self, taps: list[Tensor], out_hw: tuple[int, int],
+                mode: str) -> dict[int, Tensor]:
         return {t: m.forward(taps, out_hw, mode) for t, m in self.modules.items()}
 
 

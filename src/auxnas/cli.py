@@ -15,10 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .auxiliary import genotype_to_json, save_genotype
 from .config import (
-    aux_cfg_from_config,
     eval_cfg_from_config,
     load_config,
     search_cfg_from_config,
+    strategy_from_config,
     tasks_from_config,
     train_cfg_from_config,
     write_resolved,
@@ -29,7 +29,7 @@ from .layers import GenotypeError
 from .metrics import METRICS_FOR_KIND
 from .model import ConfigError, P_TAPS, load_checkpoint
 from .search import search_loop
-from .train import DataError, _write_csv, parse_strategy, run_strategy
+from .train import DataError, Strategy, _write_csv, run_strategy
 
 import numpy as np
 
@@ -53,10 +53,9 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _donor_task_for(strategy_name: str, n_tasks: int) -> int:
+def _donor_task_for(s: Strategy, n_tasks: int) -> int:
     """Donor convention: prior-tK starts from single-tK; auxi-tK starts from
     a single baseline of the first other task (the paper's 2-task pairing)."""
-    s = parse_strategy(strategy_name)
     if s.kind == "prior":
         return s.task
     if s.kind == "auxi_single":
@@ -64,26 +63,21 @@ def _donor_task_for(strategy_name: str, n_tasks: int) -> int:
             if t != s.task:
                 return t
         return s.task
-    raise ConfigError(f"strategy {strategy_name} has no donor")
+    raise ConfigError(f"strategy {s.name} has no donor")
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.out or cfg["output_dir"]
     ds = SyntheticDataset(cfg["data"]["dir"])
-    strategy = parse_strategy(args.strategy)
-    need_genotype = strategy.kind == "auxi_nas" or (
-        strategy.has_aux_modules and cfg["aux"]["mode"] == "genotype")
-    aux_cfg = aux_cfg_from_config(cfg, need_genotype=need_genotype)
-    if strategy.kind == "auxi_nas":
-        strategy = parse_strategy(args.strategy, genotype=aux_cfg.genotype)
+    strategy, aux_cfg = strategy_from_config(cfg, args.strategy)
     donor_state = None
     if strategy.needs_donor:
         if not args.init_ckpt:
             raise ConfigError(f"strategy {strategy.name} requires --init-ckpt")
         _, donor_state = load_checkpoint(args.init_ckpt)
     write_resolved(cfg, out_dir)
-    result = run_strategy(strategy, ds, cfg["model"]["variant"], tasks_from_config(cfg),
+    result = run_strategy(strategy, ds, cfg["model"]["variant"], tasks_from_config(cfg, ds),
                           train_cfg_from_config(cfg), aux_cfg,
                           donor_state=donor_state, out_dir=out_dir)
     if result.diverged:
@@ -148,20 +142,21 @@ def cmd_compare(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not strategies or not seeds:
         raise ConfigError("compare needs at least one strategy and one seed")
-    tasks = tasks_from_config(cfg)
+    tasks = tasks_from_config(cfg, ds)
+    resolved = {name: strategy_from_config(cfg, name) for name in strategies}
     write_resolved(cfg, out_dir)
 
     donors: dict[tuple[int, int], dict] = {}
 
-    def donor_state(strategy_name, seed):
-        dt = _donor_task_for(strategy_name, len(tasks))
+    def donor_state(strategy, seed):
+        dt = _donor_task_for(strategy, len(tasks))
         key = (dt, seed)
         if key not in donors:
             donor_dir = os.path.join(out_dir, "donors", f"single-t{dt}-s{seed}")
-            res = run_strategy(parse_strategy(f"single-t{dt}"), ds,
-                               cfg["model"]["variant"], tasks,
-                               train_cfg_from_config(cfg, seed=seed),
-                               aux_cfg_from_config(cfg), out_dir=donor_dir)
+            donor, donor_aux = strategy_from_config(cfg, f"single-t{dt}")
+            res = run_strategy(donor, ds, cfg["model"]["variant"], tasks,
+                               train_cfg_from_config(cfg, seed=seed), donor_aux,
+                               out_dir=donor_dir)
             if res.diverged:
                 raise DataError(f"donor single-t{dt} seed {seed} diverged")
             _, state = load_checkpoint(res.ckpt_path)
@@ -172,23 +167,18 @@ def cmd_compare(args) -> int:
 
     def run_cell(cell):
         name, seed = cell
-        strategy = parse_strategy(name)
-        need_genotype = strategy.kind == "auxi_nas" or (
-            strategy.has_aux_modules and cfg["aux"]["mode"] == "genotype")
-        aux_cfg = aux_cfg_from_config(cfg, need_genotype=need_genotype)
-        if strategy.kind == "auxi_nas":
-            strategy = parse_strategy(name, genotype=aux_cfg.genotype)
-        state = donor_state(name, seed) if strategy.needs_donor else None
+        strategy, aux_cfg = resolved[name]
+        state = donor_state(strategy, seed) if strategy.needs_donor else None
         cell_dir = os.path.join(out_dir, "cells", f"{name}-s{seed}")
-        res = run_strategy(strategy, ds, cfg["model"]["variant"], tasks,
-                           train_cfg_from_config(cfg, seed=seed), aux_cfg,
-                           donor_state=state, out_dir=cell_dir)
-        return res
+        return run_strategy(strategy, ds, cfg["model"]["variant"], tasks,
+                            train_cfg_from_config(cfg, seed=seed), aux_cfg,
+                            donor_state=state, out_dir=cell_dir)
 
     # donors are built serially up front so parallel cells never race on them
     for name, seed in cells:
-        if parse_strategy(name).needs_donor:
-            donor_state(name, seed)
+        strategy = resolved[name][0]
+        if strategy.needs_donor:
+            donor_state(strategy, seed)
 
     threads = _threads()
     if threads > 1:

@@ -1,8 +1,11 @@
 """Config document: nested defaults, strict merging, and object builders.
 
 Every field has a default; unknown keys are rejected with their path. The
-effective document is echoed to output_dir/config.resolved.json and can be
-fed back as --config to reproduce a run.
+defaults are those of the dataclasses the sections build (TrainCfg, AuxCfg,
+SearchCfg, PpoCfg, EvalCfg.short_iters); only what no dataclass holds is
+written here. The effective document is echoed to
+output_dir/config.resolved.json and can be fed back as --config to
+reproduce a run.
 """
 
 from __future__ import annotations
@@ -10,61 +13,29 @@ from __future__ import annotations
 import copy
 import json
 import os
+from dataclasses import fields
 
 from .auxiliary import load_genotype
-from .layers import AggOp
+from .layers import AGG_OP_NAMES
 from .model import ConfigError, TaskSpec
 from .search import EvalCfg, PpoCfg, SearchCfg
-from .train import DEFAULT_PROBE_LAYERS, AuxCfg, TrainCfg
+from .train import AuxCfg, Strategy, TrainCfg, parse_strategy
+
+
+def _defaults(cls, *names: str) -> dict:
+    """Field defaults of a dataclass, only those of ``names`` if given."""
+    return {f.name: f.default for f in fields(cls) if not names or f.name in names}
+
 
 DEFAULTS = {
-    "data": {
-        "dir": "data",
-        "n": 256,
-        "h": 32,
-        "w": 32,
-        "k": 5,
-        "seed": 0,
-        "val_n": None,
-        "test_n": None,
-    },
-    "model": {
-        "variant": "baseline",
-        "tasks": ["seg", "depth"],
-    },
-    "train": {
-        "iters": 2000,
-        "lr0": 0.01,
-        "batch": 12,
-        "weight_decay": 1e-4,
-        "momentum": 0.9,
-        "seed": 0,
-        "eval_every": 500,
-        "augment": True,
-        "probe_layers": list(DEFAULT_PROBE_LAYERS),
-        "probe_seed": 20240501,
-        "probe_count": 64,
-    },
-    "aux": {
-        "mode": "basic",
-        "agg": "sum",
-        "c_aux": 16,
-        "genotype_path": None,
-        "allow_own_task": True,
-    },
-    "search": {
-        "candidates": 200,
-        "batch": 16,
-        "short_iters": 200,
-        "seed": 0,
-        "ppo": {
-            "clip": 0.2,
-            "epochs": 4,
-            "entropy_coef": 0.01,
-            "lr": 0.001,
-            "baseline_decay": 0.95,
-        },
-    },
+    "data": {"dir": "data"},
+    "model": {"variant": "baseline", "tasks": ["seg", "depth"]},
+    "train": _defaults(TrainCfg),
+    "aux": {**_defaults(AuxCfg, "mode", "c_aux", "allow_own_task"),
+            "agg": "sum", "genotype_path": None},
+    "search": {**_defaults(SearchCfg, "candidates", "batch", "seed"),
+               **_defaults(EvalCfg, "short_iters"),
+               "ppo": _defaults(PpoCfg)},
     "output_dir": "out",
 }
 
@@ -114,54 +85,53 @@ def write_resolved(cfg: dict, out_dir: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def tasks_from_config(cfg: dict) -> list[TaskSpec]:
-    k = cfg["data"]["k"]
-    tasks = []
-    for kind in cfg["model"]["tasks"]:
-        tasks.append(TaskSpec(kind, classes=k if kind == "seg" else 0))
-    return tasks
+def tasks_from_config(cfg: dict, dataset) -> list[TaskSpec]:
+    """The configured tasks; the seg class count is the dataset's K."""
+    return [TaskSpec(kind, classes=dataset.k if kind == "seg" else 0)
+            for kind in cfg["model"]["tasks"]]
 
 
 def train_cfg_from_config(cfg: dict, seed: int | None = None) -> TrainCfg:
-    tc = cfg["train"]
-    return TrainCfg(
-        iters=tc["iters"], lr0=tc["lr0"], batch=tc["batch"],
-        weight_decay=tc["weight_decay"], momentum=tc["momentum"],
-        seed=tc["seed"] if seed is None else seed,
-        eval_every=tc["eval_every"], augment=tc["augment"],
-        probe_layers=tuple(tc["probe_layers"]), probe_seed=tc["probe_seed"],
-        probe_count=tc["probe_count"])
+    tc = dict(cfg["train"], probe_layers=tuple(cfg["train"]["probe_layers"]))
+    if seed is not None:
+        tc["seed"] = seed
+    return TrainCfg(**tc)
 
 
-def aux_cfg_from_config(cfg: dict, need_genotype: bool = False) -> AuxCfg:
+def aux_cfg_from_config(cfg: dict) -> AuxCfg:
+    """The aux section without a genotype; strategy_from_config loads one."""
     ac = cfg["aux"]
-    if ac["mode"] not in ("none", "basic", "genotype"):
-        raise ConfigError(f"aux.mode {ac['mode']!r} invalid")
-    if ac["agg"] not in ("sum", "concat"):
+    if ac["mode"] not in ("basic", "genotype"):
+        raise ConfigError(f"aux.mode {ac['mode']!r} invalid (basic | genotype)")
+    if ac["agg"] not in AGG_OP_NAMES:
         raise ConfigError(f"aux.agg {ac['agg']!r} invalid")
-    genotype = None
-    if ac["genotype_path"] is not None and (need_genotype or ac["mode"] == "genotype"):
-        genotype = load_genotype(ac["genotype_path"])
-    if need_genotype and genotype is None:
-        raise ConfigError("aux.genotype_path is required for this strategy")
-    return AuxCfg(mode=ac["mode"],
-                  agg=int(AggOp.SUM if ac["agg"] == "sum" else AggOp.CONCAT),
-                  c_aux=ac["c_aux"], genotype=genotype,
+    return AuxCfg(mode=ac["mode"], agg=AGG_OP_NAMES.index(ac["agg"]), c_aux=ac["c_aux"],
                   allow_own_task=ac["allow_own_task"])
 
 
+def strategy_from_config(cfg: dict, name: str) -> tuple[Strategy, AuxCfg]:
+    """Parse a strategy name and build its AuxCfg, with the genotype loaded
+    from aux.genotype_path when the strategy trains searched modules."""
+    strategy = parse_strategy(name)
+    aux_cfg = aux_cfg_from_config(cfg)
+    if strategy.uses_genotype(aux_cfg.mode):
+        path = cfg["aux"]["genotype_path"]
+        if path is None:
+            raise ConfigError(f"aux.genotype_path is required for strategy {strategy.name}")
+        aux_cfg.genotype = load_genotype(path)
+    return strategy, aux_cfg
+
+
 def search_cfg_from_config(cfg: dict, threads: int = 1) -> SearchCfg:
-    sc = cfg["search"]
-    ppo = PpoCfg(clip=sc["ppo"]["clip"], epochs=sc["ppo"]["epochs"],
-                 entropy_coef=sc["ppo"]["entropy_coef"], lr=sc["ppo"]["lr"],
-                 baseline_decay=sc["ppo"]["baseline_decay"])
-    return SearchCfg(candidates=sc["candidates"], batch=sc["batch"],
-                     seed=sc["seed"], ppo=ppo, threads=threads)
+    sc = dict(cfg["search"])
+    del sc["short_iters"]  # an EvalCfg field
+    ppo = PpoCfg(**sc.pop("ppo"))
+    return SearchCfg(**sc, ppo=ppo, threads=threads)
 
 
 def eval_cfg_from_config(cfg: dict, dataset) -> EvalCfg:
     return EvalCfg(dataset=dataset, variant=cfg["model"]["variant"],
-                   tasks=tasks_from_config(cfg),
+                   tasks=tasks_from_config(cfg, dataset),
                    short_iters=cfg["search"]["short_iters"],
                    batch=cfg["train"]["batch"], lr0=cfg["train"]["lr0"],
                    c_aux=cfg["aux"]["c_aux"],

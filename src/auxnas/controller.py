@@ -43,30 +43,16 @@ def role_of_position(i: int) -> str:
 
 
 def decode_tokens(seq, p: int, t: int, allow_own_task: bool = True) -> Genotype:
-    """Tokens -> Genotype, task-major. Availability violations raise
+    """Tokens -> Genotype, task-major. Genotype.validate's violations raise
     GenotypeError (recoverable: callers assign reward 0); a wrong length
     is a CodecError."""
-    seq = list(int(x) for x in seq)
+    seq = [int(x) for x in seq]
     if len(seq) != seq_length(p, t):
         raise CodecError(f"expected {seq_length(p, t)} tokens, got {len(seq)}")
-    cells = []
-    for ti in range(t):
-        row = []
-        for pi in range(p):
-            c = ti * p + pi
-            in1, in2, op1, op2, agg = seq[5 * c:5 * c + 5]
-            avail = set(available_locations(p, t, ti, pi, allow_own_task))
-            for loc in (in1, in2):
-                if loc not in avail:
-                    raise GenotypeError(
-                        f"cell (task {ti}, pos {pi}): location {loc} unavailable")
-            if not (0 <= op1 < N_ADAPTOR_OPS and 0 <= op2 < N_ADAPTOR_OPS):
-                raise GenotypeError(f"adaptor token out of range in cell {c}")
-            if not 0 <= agg < N_AGG_OPS:
-                raise GenotypeError(f"aggregator token out of range in cell {c}")
-            row.append(AuxCell(in1, in2, op1, op2, agg))
-        cells.append(tuple(row))
-    return Genotype(p, t, tuple(cells))
+    cells = [AuxCell(*seq[i:i + 5]) for i in range(0, len(seq), 5)]
+    g = Genotype(p, t, tuple(tuple(cells[ti * p:(ti + 1) * p]) for ti in range(t)))
+    g.validate(allow_own_task)
+    return g
 
 
 def encode_genotype(g: Genotype, allow_own_task: bool = True) -> list[int]:

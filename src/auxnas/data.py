@@ -43,7 +43,11 @@ def write_tensor_file(path: str, arr: np.ndarray) -> None:
 
 
 def read_exact(fh, size: int, what: str) -> bytes:
-    """Read exactly ``size`` bytes; a short read raises FormatError."""
+    """Read exactly ``size`` bytes; a short read raises FormatError, and so
+    does a size past the end of the file, before anything is allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise FormatError(f"truncated {what}: {size} bytes wanted, {left} left")
     raw = fh.read(size)
     if len(raw) != size:
         raise FormatError(f"truncated {what}")

@@ -74,6 +74,10 @@ class ConvBN:
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         y = ad.conv2d(x, self.w, stride=self.stride, dilation=self.dilation,
                       groups=self.groups, pad=self.pad)
+        return self.normalize(y, mode)
+
+    def normalize(self, y: Tensor, mode: str) -> Tensor:
+        """The block's BN, then ReLU when act is set, on a conv output."""
         y = ad.batch_norm(y, self.gamma, self.beta, self.rmean, self.rvar, mode=mode)
         return ad.relu(y) if self.act else y
 
@@ -154,23 +158,16 @@ def deform_conv3x3(x: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
 
 class DeformConv:
     """Deformable 3x3 conv: a zero-initialized plain 3x3 conv predicts the 18
-    offset channels, then the offset samples feed a 3x3 weight, BN, ReLU."""
+    offset channels, then the offset samples feed a ConvBN's 3x3 weight, BN,
+    ReLU (at zero offsets, exactly that ConvBN with pad=1)."""
 
     def __init__(self, ctx: BuildCtx, prefix: str, tag: str, cin: int, cout: int):
         self.offset = Conv(ctx, f"{prefix}.off", tag, cin, 18, 3, pad=1, zero_init=True)
-        self.w = ctx.ps.add(f"{prefix}.w", ctx.he_conv(cout, cin, 3), tag)
-        self.gamma = ctx.ps.add(f"{prefix}.bn_g", np.ones(cout, dtype=ctx.dtype), tag)
-        self.beta = ctx.ps.add(f"{prefix}.bn_b", np.zeros(cout, dtype=ctx.dtype), tag)
-        self.rmean = ctx.ps.add(f"{prefix}.bn_rm", np.zeros(cout, dtype=ctx.dtype), tag,
-                                trainable=False)
-        self.rvar = ctx.ps.add(f"{prefix}.bn_rv", np.ones(cout, dtype=ctx.dtype), tag,
-                               trainable=False)
+        self.conv = ConvBN(ctx, prefix, tag, cin, cout, 3, pad=1)
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        off = self.offset(x)
-        y = deform_conv3x3(x, off, self.w)
-        y = ad.batch_norm(y, self.gamma, self.beta, self.rmean, self.rvar, mode=mode)
-        return ad.relu(y)
+        y = deform_conv3x3(x, self.offset(x), self.conv.w)
+        return self.conv.normalize(y, mode)
 
 
 def build_adaptor_op(op: AdaptorOp, ctx: BuildCtx, prefix: str, tag: str,

@@ -63,6 +63,10 @@ class RewardRecord:
 # PPO
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class PpoCfg:
@@ -70,9 +74,6 @@ class PpoCfg:
     epochs: int = 4
     entropy_coef: float = 0.01
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     baseline_decay: float = 0.95
 
 
@@ -87,23 +88,19 @@ class PpoState:
 def _adam_step(params, cfg: PpoCfg, state: PpoState) -> None:
     state.step += 1
     t = state.step
-    corr1 = 1.0 - cfg.beta1 ** t
-    corr2 = 1.0 - cfg.beta2 ** t
-    for path, tensor in params.items():
-        if not params.trainable(path):
-            continue
+    corr1 = 1.0 - ADAM_BETA1 ** t
+    corr2 = 1.0 - ADAM_BETA2 ** t
+    for path, tensor in params.trainable_items():
         g = tensor.grad
-        if g is None:
-            raise ContractError(f"missing gradient for {path!r}")
         m = state.m.get(path)
         if m is None:
             m = np.zeros_like(tensor.values)
             state.v[path] = np.zeros_like(tensor.values)
         v = state.v[path]
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         state.m[path], state.v[path] = m, v
-        update = cfg.lr * (m / corr1) / (np.sqrt(v / corr2) + cfg.adam_eps)
+        update = cfg.lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
         tensor.values -= update.astype(tensor.dtype, copy=False)
 
 

@@ -92,18 +92,11 @@ def poly_lr(it: int, max_iter: int, lr0: float) -> float:
 
 
 def sgd_step(params: ParamSet, lr: float, momentum: float = 0.9,
-             weight_decay: float = 1e-4, state: dict | None = None,
-             only_tags: set[str] | None = None) -> dict:
+             weight_decay: float = 1e-4, state: dict | None = None) -> dict:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v (per trainable entry)."""
     if state is None:
         state = {}
-    for path, t in params.items():
-        if not params.trainable(path):
-            continue
-        if only_tags is not None and params.tag(path) not in only_tags:
-            continue
-        if t.grad is None:
-            raise ContractError(f"missing gradient for {path!r}")
+    for path, t in params.trainable_items():
         v = state.get(path)
         if v is None:
             v = np.zeros_like(t.values)
@@ -141,6 +134,12 @@ class Strategy:
     def has_aux_modules(self) -> bool:
         return self.kind in ("auxi_single", "auxi_both", "auxi_nas")
 
+    def uses_genotype(self, aux_mode: str) -> bool:
+        """Searched modules for auxi-nas, and for auxi-both under aux mode
+        "genotype"; every other aux strategy trains basic modules."""
+        return self.kind == "auxi_nas" or (self.kind == "auxi_both"
+                                           and aux_mode == "genotype")
+
     @property
     def name(self) -> str:
         base = {"single": "single", "prior": "prior", "ds": "ds",
@@ -151,7 +150,7 @@ class Strategy:
                 "auxi_both": "auxi-both", "auxi_nas": "auxi-nas"}[self.kind]
 
 
-def parse_strategy(name: str, genotype: Genotype | None = None) -> Strategy:
+def parse_strategy(name: str) -> Strategy:
     """Map a CLI strategy name (e.g. 'auxi-t2', 'joint') to a Strategy."""
     name = name.strip().lower()
     if name == "joint":
@@ -161,7 +160,7 @@ def parse_strategy(name: str, genotype: Genotype | None = None) -> Strategy:
     if name == "auxi-both":
         return Strategy("auxi_both")
     if name == "auxi-nas":
-        return Strategy("auxi_nas", genotype=genotype)
+        return Strategy("auxi_nas")
     for prefix, kind in (("single-t", "single"), ("prior-t", "prior"),
                          ("ds-t", "ds"), ("auxi-t", "auxi_single")):
         if name.startswith(prefix):
@@ -287,7 +286,7 @@ class TrainCfg:
 
 @dataclass
 class AuxCfg:
-    mode: str = "basic"  # none | basic | genotype
+    mode: str = "basic"  # basic | genotype
     agg: int = int(AggOp.SUM)
     c_aux: int = 16
     genotype: Genotype | None = None
@@ -328,9 +327,7 @@ def _build_setup(strategy: Strategy, variant: str, cfg_tasks: list[TaskSpec],
         else:
             aux_tasks = list(range(1, len(model_tasks) + 1))
         genotype = strategy.genotype or aux_cfg.genotype
-        use_genotype = strategy.kind == "auxi_nas" or (
-            strategy.kind == "auxi_both" and aux_cfg.mode == "genotype")
-        if use_genotype:
+        if strategy.uses_genotype(aux_cfg.mode):
             if genotype is None:
                 raise ConfigError(f"strategy {strategy.name} needs a genotype")
             setup.aux_set = build_from_genotype(

@@ -496,8 +496,7 @@ class TestCriterion11Determinism:
 
         def run(name):
             out = tmp_path / name
-            cfg = {"data": {"dir": str(data_dir), "n": 40, "h": 16, "w": 16,
-                            "val_n": 8, "test_n": 4},
+            cfg = {"data": {"dir": str(data_dir)},
                    "train": {"iters": 30, "batch": 4, "eval_every": 0},
                    "output_dir": str(out)}
             cfg_path = tmp_path / f"{name}.json"

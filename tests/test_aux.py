@@ -161,7 +161,7 @@ class TestBasicAux:
 
 
 class TestGradientRouting:
-    def _setup(self, detach):
+    def _setup(self):
         m = make_model(seed=3)
         aux = build_basic_aux(m.params, np.random.default_rng(4), [1, 2], TASKS2,
                               m.tap_channels, C_AUX)
@@ -169,30 +169,24 @@ class TestGradientRouting:
         m.params.zero_grad()
         with Tape() as tape:
             _, taps = m.forward(x, "train")
-            aux_preds = aux.forward(taps, (16, 16), "train", detach_taps=detach)
+            aux_preds = aux.forward(taps, (16, 16), "train")
             loss = ad.reduce_mean(ad.mul(aux_preds[1], aux_preds[1]))
             loss = ad.add(loss, ad.reduce_mean(ad.mul(aux_preds[2], aux_preds[2])))
             tape.backward(loss)
         return m
 
     def test_aux_loss_never_reaches_task_params(self):
-        m = self._setup(detach=False)
+        m = self._setup()
         for t in (1, 2):
             for p in m.params.tagged(ad.tag_task(t)):
                 g = m.params[p].grad
                 assert g is None or not np.any(g)
 
     def test_aux_loss_reaches_shared_params(self):
-        m = self._setup(detach=False)
+        m = self._setup()
         total = sum(np.abs(m.params[p].grad).sum()
                     for p in m.params.tagged("shared") if m.params[p].grad is not None)
         assert total > 0
-
-    def test_detached_taps_block_shared_grads(self):
-        m = self._setup(detach=True)
-        for p in m.params.tagged("shared"):
-            g = m.params[p].grad
-            assert g is None or not np.any(g)
 
 
 class TestOneWayFlowAndStrip:

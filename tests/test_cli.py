@@ -3,12 +3,23 @@
 import hashlib
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
 from auxnas.cli import main
-from auxnas.config import DEFAULTS, resolve_config
-from auxnas.model import ConfigError
+from auxnas.config import (
+    DEFAULTS,
+    aux_cfg_from_config,
+    resolve_config,
+    search_cfg_from_config,
+    train_cfg_from_config,
+)
+from auxnas.data import SyntheticDataset
+from auxnas.model import ConfigError, TaskSpec, build_model, load_checkpoint, save_checkpoint
+from auxnas.search import PpoCfg
+from auxnas.train import AuxCfg, Strategy, TrainCfg, run_strategy
 
 
 def digest(path):
@@ -37,8 +48,7 @@ def workdir(tmp_path_factory):
 
 def write_cfg(root, name, **over):
     cfg = {
-        "data": {"dir": str(root / "data"), "n": 30, "h": 16, "w": 16,
-                 "val_n": 6, "test_n": 2},
+        "data": {"dir": str(root / "data")},
         "train": {"iters": 8, "batch": 4, "eval_every": 0},
         "search": {"candidates": 10, "batch": 5, "short_iters": 4},
         "output_dir": str(root / name),
@@ -64,6 +74,12 @@ class TestConfig:
         cfg = resolve_config({"train": {"iters": 7}})
         assert cfg["train"]["iters"] == 7
         assert cfg["train"]["batch"] == 12
+
+    def test_builders_reproduce_dataclass_defaults(self):
+        cfg = resolve_config(None)
+        assert train_cfg_from_config(cfg) == TrainCfg()
+        assert search_cfg_from_config(cfg).ppo == PpoCfg()
+        assert aux_cfg_from_config(cfg) == AuxCfg()
 
 
 class TestGenData:
@@ -120,6 +136,52 @@ class TestTrain:
                      "--init-ckpt", str(bad)]) == 3
         assert "truncated checkpoint header" in capsys.readouterr().err
 
+    def test_huge_init_ckpt_header_length_is_io_error(self, workdir, capsys):
+        m = build_model("baseline", [TaskSpec("seg", 5), TaskSpec("depth")],
+                        np.random.default_rng(0))
+        bad = workdir / "huge_header.ckpt"
+        save_checkpoint(str(bad), m.params, m.variant, m.tasks)
+        raw = bad.read_bytes()
+        bad.write_bytes(raw[:8] + struct.pack("<Q", 2 ** 50) + raw[16:])
+        cfg = write_cfg(workdir, "huge_prior")
+        assert main(["train", "--config", cfg, "--strategy", "prior-t1",
+                     "--init-ckpt", str(bad)]) == 3
+        assert "truncated checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("over, named", [({"data": {"n": 30}}, "data.n"),
+                                             ({"aux": {"mode": "none"}}, "'none'")])
+    def test_removed_config_values_exit_2(self, workdir, capsys, over, named):
+        cfg = write_cfg(workdir, "removed_value", **over)
+        assert main(["train", "--config", cfg, "--strategy", "joint"]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_auxi_single_trains_basic_modules_under_genotype_mode(self, workdir):
+        donor_cfg = write_cfg(workdir, "gmode_donor")
+        assert main(["train", "--config", donor_cfg, "--strategy", "single-t1"]) == 0
+        ckpt = str(workdir / "gmode_donor" / "model.ckpt")
+        cfg = write_cfg(workdir, "gmode_cli", aux={"mode": "genotype"})
+        assert main(["train", "--config", cfg, "--strategy", "auxi-t2",
+                     "--init-ckpt", ckpt]) == 0
+        ds = SyntheticDataset(str(workdir / "data"))
+        _, state = load_checkpoint(ckpt)
+        run_strategy(Strategy("auxi_single", task=2), ds, "baseline",
+                     [TaskSpec("seg", ds.k), TaskSpec("depth")],
+                     TrainCfg(iters=8, batch=4, eval_every=0), AuxCfg(mode="genotype"),
+                     donor_state=state, out_dir=str(workdir / "gmode_api"))
+        assert digest(workdir / "gmode_cli" / "run.csv") == \
+            digest(workdir / "gmode_api" / "run.csv")
+
+    @pytest.mark.parametrize("k", [3, 7])
+    def test_seg_classes_come_from_dataset(self, workdir, k):
+        data_dir = workdir / f"data_k{k}"
+        assert main(["gen-data", "--seed", "5", "--n", "16", "--out", str(data_dir),
+                     "--h", "16", "--w", "16", "--k", str(k), "--val-n", "4",
+                     "--test-n", "2"]) == 0
+        cfg = write_cfg(workdir, f"k{k}_run", data={"dir": str(data_dir)})
+        assert main(["train", "--config", cfg, "--strategy", "joint"]) == 0
+        header, _ = load_checkpoint(str(workdir / f"k{k}_run" / "model.ckpt"))
+        assert [t["classes"] for t in header["tasks"] if t["kind"] == "seg"] == [k]
+
     def test_missing_dataset_is_io_error(self, workdir):
         cfg_path = workdir / "nodata.json"
         cfg_path.write_text(json.dumps({"data": {"dir": str(workdir / "missing")},
@@ -127,7 +189,6 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path), "--strategy", "joint"]) == 3
 
     def test_checkpoint_reload_matches_eval_csv(self, workdir):
-        from auxnas.data import SyntheticDataset
         from auxnas.train import evaluate_checkpoint
         cfg = write_cfg(workdir, "reload_run")
         assert main(["train", "--config", cfg, "--strategy", "joint"]) == 0

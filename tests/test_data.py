@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,17 @@ class TestTensorFile:
         with open(path, "wb") as fh:
             fh.write(raw[:-2])
         with pytest.raises(FormatError):
+            read_tensor_file(path)
+
+    def test_dims_past_end_of_file(self, tmp_path):
+        # dims claiming 2^25 x 2^25 float64 (2^53 bytes) are rejected before
+        # the payload read could try to allocate them
+        path = str(tmp_path / "huge.tnsr")
+        raw = bytearray(tensor_to_bytes(np.ones((1, 1), dtype=np.float64)))
+        raw[10:18] = struct.pack("<2I", 2 ** 25, 2 ** 25)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(FormatError, match="truncated payload"):
             read_tensor_file(path)
 
     def test_trailing_garbage(self, tmp_path):

@@ -156,6 +156,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated checkpoint header"):
             load_checkpoint(str(path))
 
+    def test_huge_header_length_is_format_error(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + struct.pack("<Q", 2 ** 50) + raw[16:])
+        with pytest.raises(FormatError, match="truncated checkpoint header"):
+            load_checkpoint(str(path))
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\0")
