@@ -55,12 +55,11 @@ class Tensor:
     norm running statistics, which are never recorded on a tape).
     """
 
-    __slots__ = ("values", "grad", "node_id", "requires_grad")
+    __slots__ = ("values", "grad", "requires_grad")
 
     def __init__(self, values: np.ndarray, requires_grad: bool = False):
         self.values = values
         self.grad: np.ndarray | None = None
-        self.node_id: int | None = None
         self.requires_grad = requires_grad
 
     @property
@@ -74,9 +73,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.values.size
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.values)
 
     def item(self) -> float:
         return float(self.values)
@@ -117,7 +113,6 @@ class Tape:
     def __init__(self):
         self._ops: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._live: set[int] = set()
-        self._next_id = 0
 
     def __enter__(self) -> "Tape":
         if active_tape() is not None:
@@ -129,18 +124,10 @@ class Tape:
         _tls.tape = None
         return False
 
-    def _assign_id(self, t: Tensor) -> None:
-        t.node_id = self._next_id
-        self._next_id += 1
-
     def is_live(self, t: Tensor) -> bool:
         return t.requires_grad or id(t) in self._live
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-        for t in inputs:
-            if t.requires_grad and t.node_id is None:
-                self._assign_id(t)
-        self._assign_id(out)
         self._live.add(id(out))
         self._ops.append((out, inputs, vjp))
 
@@ -265,13 +252,18 @@ def exp(x: Tensor) -> Tensor:
     return _apply([x], ov, lambda needs: lambda g: (g * ov,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    xv = x.values
+def _sigmoid(xv: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), computed without overflow for large |x|."""
     ov = np.empty_like(xv)
     pos = xv >= 0
     ov[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
     e = np.exp(xv[~pos])
     ov[~pos] = e / (1.0 + e)
+    return ov
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    ov = _sigmoid(x.values)
     return _apply([x], ov, lambda needs: lambda g: (g * ov * (1.0 - ov),))
 
 
@@ -284,18 +276,7 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow for large |x|."""
     xv = x.values
     ov = np.log1p(np.exp(-np.abs(xv))) + np.maximum(xv, 0)
-
-    def vjp_builder(needs):
-        def vjp(g):
-            s = np.empty_like(xv)
-            pos = xv >= 0
-            s[pos] = 1.0 / (1.0 + np.exp(-xv[pos]))
-            e = np.exp(xv[~pos])
-            s[~pos] = e / (1.0 + e)
-            return (g * s,)
-        return vjp
-
-    return _apply([x], ov, vjp_builder)
+    return _apply([x], ov, lambda needs: lambda g: (g * _sigmoid(xv),))
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:

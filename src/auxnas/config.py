@@ -1,11 +1,12 @@
 """Config document: nested defaults, strict merging, and object builders.
 
-Every field has a default; unknown keys are rejected with their path. The
-defaults are those of the dataclasses the sections build (TrainCfg, AuxCfg,
-SearchCfg, PpoCfg, EvalCfg.short_iters); only what no dataclass holds is
-written here. The effective document is echoed to
-output_dir/config.resolved.json and can be fed back as --config to
-reproduce a run.
+Every field has a default; unknown keys are rejected with their path, and
+each value must have its default's type (an int may stand for a float, a
+bool is not an int, aux.genotype_path is null or a string). The defaults
+are those of the dataclasses the sections build (TrainCfg, AuxCfg,
+SearchCfg, EvalCfg.short_iters); only what no dataclass holds is written
+here. The effective document is echoed to output_dir/config.resolved.json
+and can be fed back as --config to reproduce a run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import fields
 from .auxiliary import load_genotype
 from .layers import AGG_OP_NAMES
 from .model import ConfigError, TaskSpec
-from .search import EvalCfg, PpoCfg, SearchCfg
+from .search import EvalCfg, SearchCfg
 from .train import AuxCfg, Strategy, TrainCfg, parse_strategy
 
 
@@ -34,10 +35,19 @@ DEFAULTS = {
     "aux": {**_defaults(AuxCfg, "mode", "c_aux", "allow_own_task"),
             "agg": "sum", "genotype_path": None},
     "search": {**_defaults(SearchCfg, "candidates", "batch", "seed"),
-               **_defaults(EvalCfg, "short_iters"),
-               "ppo": _defaults(PpoCfg)},
+               **_defaults(EvalCfg, "short_iters")},
     "output_dir": "out",
 }
+POSITIVE = ("train.batch", "search.batch")
+
+
+def _type_ok(dval, uval) -> bool:
+    if isinstance(dval, (list, tuple)):
+        return isinstance(uval, (list, tuple)) and all(isinstance(x, str) for x in uval)
+    if isinstance(dval, bool) or isinstance(uval, bool):
+        return isinstance(dval, bool) and isinstance(uval, bool)
+    return isinstance(uval, {type(None): (type(None), str),
+                             float: (int, float)}.get(type(dval), type(dval)))
 
 
 def _merge(defaults, user, path=""):
@@ -49,6 +59,12 @@ def _merge(defaults, user, path=""):
             out[key] = copy.deepcopy(dval)
         elif isinstance(dval, dict):
             out[key] = _merge(dval, user[key], f"{path}{key}.")
+        elif not _type_ok(dval, user[key]):
+            want = {type(None): "null or str", float: "number", list: "list of str",
+                    tuple: "list of str"}.get(type(dval), type(dval).__name__)
+            raise ConfigError(f"config value {path}{key} must be {want}, got {user[key]!r}")
+        elif path + key in POSITIVE and user[key] < 1:
+            raise ConfigError(f"config value {path}{key} must be at least 1, got {user[key]}")
         else:
             out[key] = user[key]
     unknown = set(user) - set(defaults)
@@ -125,8 +141,7 @@ def strategy_from_config(cfg: dict, name: str) -> tuple[Strategy, AuxCfg]:
 def search_cfg_from_config(cfg: dict, threads: int = 1) -> SearchCfg:
     sc = dict(cfg["search"])
     del sc["short_iters"]  # an EvalCfg field
-    ppo = PpoCfg(**sc.pop("ppo"))
-    return SearchCfg(**sc, ppo=ppo, threads=threads)
+    return SearchCfg(**sc, threads=threads)
 
 
 def eval_cfg_from_config(cfg: dict, dataset) -> EvalCfg:

@@ -75,7 +75,6 @@ def loc_mask(p: int, t: int, ti: int, pi: int, allow_own_task: bool = True) -> n
 class SampleBatch:
     tokens: np.ndarray    # (n, L) int
     log_probs: np.ndarray  # (n, L) float, at sampling time
-    entropy: float         # mean per-token entropy at sampling time
 
 
 class ControllerPolicy:
@@ -165,7 +164,6 @@ class ControllerPolicy:
         prev = np.zeros(n, dtype=np.int64)  # START
         tokens = np.zeros((n, self.length), dtype=np.int64)
         logps = np.zeros((n, self.length))
-        ent_sum = 0.0
         for pos in range(self.length):
             logp_t, h, c = self._position_logp(pos, self._embed_ids(prev), h, c)
             logp = logp_t.values
@@ -178,10 +176,8 @@ class ControllerPolicy:
             tok = np.minimum(tok, last_pos)
             tokens[:, pos] = tok
             logps[:, pos] = logp[np.arange(n), tok]
-            ent_sum += float(-(probs * logp).sum(axis=1).mean())
             prev = tok + self._role_offset[role_of_position(pos)]
-        return SampleBatch(tokens=tokens, log_probs=logps,
-                           entropy=ent_sum / self.length)
+        return SampleBatch(tokens=tokens, log_probs=logps)
 
     def score_tokens(self, tokens: np.ndarray):
         """Teacher-forced pass for PPO: per-position chosen log-prob tensors

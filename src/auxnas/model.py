@@ -58,10 +58,6 @@ class MtlModel:
     decoders: dict[int, object] = field(default_factory=dict)
 
     @property
-    def p(self) -> int:
-        return P_TAPS
-
-    @property
     def tap_channels(self) -> tuple[int, ...]:
         return TAP_CHANNELS
 

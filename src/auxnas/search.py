@@ -221,7 +221,6 @@ class SearchCfg:
     candidates: int = 200
     batch: int = 16
     seed: int = 0
-    ppo: PpoCfg = field(default_factory=PpoCfg)
     threads: int = 1
 
 
@@ -277,6 +276,10 @@ def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalC
     best: tuple[float, Genotype | None] = (-1.0, None)
     update_idx = 0
     remaining = search_cfg.candidates
+    # threads == 1 evaluates in this thread, not on a one-worker pool. Both give
+    # the same outputs, but the pool raised the search-baseline benchmark's peak
+    # RSS from about 119 MB to over 160 MB, likely because the worker thread
+    # gets its own malloc arena.
     pool = ThreadPoolExecutor(max_workers=search_cfg.threads) \
         if search_cfg.threads > 1 else None
     try:
@@ -302,7 +305,7 @@ def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalC
                     best = (rec.reward, g)
             ppo_batch = [(sample.tokens[i], sample.log_probs[i], batch_records[i].reward)
                          for i in range(n)]
-            ppo_update(policy, ppo_batch, ppo_state, search_cfg.ppo)
+            ppo_update(policy, ppo_batch, ppo_state)
             row = {"update": update_idx, "candidates": n,
                    "mean_reward": float(np.mean([r.reward for r in batch_records])),
                    "best_reward": max(best[0], 0.0)}

@@ -34,10 +34,6 @@ class DataError(Exception):
     """Labels violate their domain (segmentation class range, depth sign)."""
 
 
-class DivergedError(Exception):
-    """Training hit non-finite values."""
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -110,8 +106,10 @@ def sgd_step(params: ParamSet, lr: float, momentum: float = 0.9,
 # training strategies
 # ---------------------------------------------------------------------------
 
-STRATEGY_KINDS = ("single", "joint", "prior", "ds", "kendall",
-                  "auxi_single", "auxi_both", "auxi_nas")
+# kind -> CLI name; a name ending in "-t" takes the task index ("auxi-t2")
+STRATEGY_KINDS = {"single": "single-t", "joint": "joint", "prior": "prior-t", "ds": "ds-t",
+                  "kendall": "kendall", "auxi_single": "auxi-t", "auxi_both": "auxi-both",
+                  "auxi_nas": "auxi-nas"}
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,7 @@ class Strategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy kind {self.kind!r}")
-        if self.kind in ("single", "prior", "ds", "auxi_single") and self.task < 1:
+        if STRATEGY_KINDS[self.kind].endswith("-t") and self.task < 1:
             raise ConfigError(f"strategy {self.kind} needs a task index")
 
     @property
@@ -142,30 +140,19 @@ class Strategy:
 
     @property
     def name(self) -> str:
-        base = {"single": "single", "prior": "prior", "ds": "ds",
-                "auxi_single": "auxi"}.get(self.kind)
-        if base is not None:
-            return f"{base}-t{self.task}"
-        return {"joint": "joint", "kendall": "kendall",
-                "auxi_both": "auxi-both", "auxi_nas": "auxi-nas"}[self.kind]
+        base = STRATEGY_KINDS[self.kind]
+        return f"{base}{self.task}" if base.endswith("-t") else base
 
 
 def parse_strategy(name: str) -> Strategy:
     """Map a CLI strategy name (e.g. 'auxi-t2', 'joint') to a Strategy."""
     name = name.strip().lower()
-    if name == "joint":
-        return Strategy("joint")
-    if name == "kendall":
-        return Strategy("kendall")
-    if name == "auxi-both":
-        return Strategy("auxi_both")
-    if name == "auxi-nas":
-        return Strategy("auxi_nas")
-    for prefix, kind in (("single-t", "single"), ("prior-t", "prior"),
-                         ("ds-t", "ds"), ("auxi-t", "auxi_single")):
-        if name.startswith(prefix):
+    for kind, base in STRATEGY_KINDS.items():
+        if name == base:  # a per-task kind without its index fails in Strategy
+            return Strategy(kind)
+        if base.endswith("-t") and name.startswith(base):
             try:
-                return Strategy(kind, task=int(name[len(prefix):]))
+                return Strategy(kind, task=int(name[len(base):]))
             except ValueError:
                 break
     raise ConfigError(f"unknown strategy {name!r}")
@@ -250,8 +237,8 @@ def grad_probe(params: ParamSet, layer_paths: tuple[str, ...],
     return out
 
 
-def probe_subsets(params: ParamSet, layer_paths: tuple[str, ...], probe_seed: int,
-                  count: int = 64) -> dict[str, np.ndarray]:
+def probe_subsets(params: ParamSet, layer_paths: tuple[str, ...],
+                  probe_seed: int = 20240501, count: int = 64) -> dict[str, np.ndarray]:
     """Seeded per-layer entry subsets, identical across runs for comparability."""
     subsets = {}
     for path in layer_paths:
@@ -274,14 +261,10 @@ class TrainCfg:
     iters: int = 2000
     lr0: float = 0.01
     batch: int = 12
-    weight_decay: float = 1e-4
-    momentum: float = 0.9
     seed: int = 0
     eval_every: int = 500
     augment: bool = True
     probe_layers: tuple[str, ...] = DEFAULT_PROBE_LAYERS
-    probe_seed: int = 20240501
-    probe_count: int = 64
 
 
 @dataclass
@@ -297,11 +280,9 @@ class AuxCfg:
 class RunResult:
     strategy: Strategy
     records: list[dict]
-    eval_rows: list[dict]
     final_metrics: dict | None
     diverged: bool
     model: object
-    task_map: dict[int, int]
     ckpt_path: str | None = None
 
 
@@ -407,8 +388,7 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
         lr0 = train_cfg.lr0 / PRIOR_LR_DIVISOR
 
     probe_layers = tuple(train_cfg.probe_layers)
-    probe_idx = probe_subsets(model.params, probe_layers, train_cfg.probe_seed,
-                              train_cfg.probe_count)
+    probe_idx = probe_subsets(model.params, probe_layers)
     train_idx = ds.splits[train_split]
     if not train_idx:
         raise ConfigError(f"split {train_split!r} is empty")
@@ -454,7 +434,7 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
         row.update({k: v for k, v in parts.items() if k != "loss_total"})
         row.update(grad_probe(model.params, probe_layers, probe_idx))
         records.append(row)
-        sgd_step(model.params, lr, train_cfg.momentum, train_cfg.weight_decay, sgd_state)
+        sgd_step(model.params, lr, state=sgd_state)
 
         if train_cfg.eval_every and (it + 1) % train_cfg.eval_every == 0 \
                 and (it + 1) < train_cfg.iters:
@@ -470,9 +450,8 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
         save_checkpoint(ckpt_path, stripped, model.variant, model.tasks)
         _write_csv(os.path.join(out_dir, "run.csv"), records)
         _write_csv(os.path.join(out_dir, "eval.csv"), eval_rows)
-    return RunResult(strategy=strategy, records=records, eval_rows=eval_rows,
-                     final_metrics=final_metrics, diverged=diverged, model=model,
-                     task_map=setup.task_map, ckpt_path=ckpt_path)
+    return RunResult(strategy=strategy, records=records, final_metrics=final_metrics,
+                     diverged=diverged, model=model, ckpt_path=ckpt_path)
 
 
 def _fmt(v) -> str:

@@ -10,6 +10,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from auxnas import autodiff as ad
 from auxnas.autodiff import Tape, Tensor, parameter
@@ -421,6 +422,7 @@ class TestCriterion8Constants:
 # -------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 class TestCriterion9Directional:
     def test_auxi_both_vs_joint(self, std_ds):
         wins = 0
@@ -454,6 +456,7 @@ class TestCriterion9Directional:
 # -------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 class TestCriterion10GradFlow:
     def test_auxi_t2_enhances_shared_gradients(self, std_ds, tmp_path):
         iters = 600

@@ -18,7 +18,7 @@ from auxnas.config import (
 )
 from auxnas.data import SyntheticDataset
 from auxnas.model import ConfigError, TaskSpec, build_model, load_checkpoint, save_checkpoint
-from auxnas.search import PpoCfg
+from auxnas.search import SearchCfg
 from auxnas.train import AuxCfg, Strategy, TrainCfg, run_strategy
 
 
@@ -78,8 +78,43 @@ class TestConfig:
     def test_builders_reproduce_dataclass_defaults(self):
         cfg = resolve_config(None)
         assert train_cfg_from_config(cfg) == TrainCfg()
-        assert search_cfg_from_config(cfg).ppo == PpoCfg()
+        assert search_cfg_from_config(cfg) == SearchCfg()
         assert aux_cfg_from_config(cfg) == AuxCfg()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "lr0", 1), ("train", "augment", False),
+        ("train", "probe_layers", ["encoder.stage1.w"]),
+        ("aux", "genotype_path", "g.json"), ("aux", "genotype_path", None),
+    ])
+    def test_values_of_default_type_accepted(self, section, key, value):
+        assert resolve_config({section: {key: value}})[section][key] == value
+
+    @pytest.mark.parametrize("user, named", [
+        ({"train": {"iters": True}}, "train.iters"),
+        ({"train": {"iters": 8.0}}, "train.iters"),
+        ({"train": {"lr0": True}}, "train.lr0"),
+        ({"train": {"augment": 1}}, "train.augment"),
+        ({"train": {"probe_layers": "encoder.stage1.w"}}, "train.probe_layers"),
+        ({"model": {"tasks": ["seg", 2]}}, "model.tasks"),
+        ({"aux": {"genotype_path": 3}}, "aux.genotype_path"),
+        ({"aux": {"genotype_path": False}}, "aux.genotype_path"),
+        ({"output_dir": None}, "output_dir"),
+        ({"train": {"batch": 0}}, "train.batch"),
+        ({"search": {"batch": -3}}, "search.batch"),
+    ])
+    def test_values_of_other_type_or_range_rejected(self, user, named):
+        with pytest.raises(ConfigError) as e:
+            resolve_config(user)
+        assert named in str(e.value)
+
+    @pytest.mark.parametrize("command, over, named", [
+        (["train", "--strategy", "joint"], {"train": {"batch": "4"}}, "train.batch"),
+        (["search"], {"search": {"batch": 0}}, "search.batch"),
+    ])
+    def test_bad_value_exits_2(self, workdir, capsys, command, over, named):
+        cfg = write_cfg(workdir, "bad_value", **over)
+        assert main([command[0], "--config", cfg, *command[1:]]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestGenData:
@@ -148,8 +183,15 @@ class TestTrain:
                      "--init-ckpt", str(bad)]) == 3
         assert "truncated checkpoint header" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("over, named", [({"data": {"n": 30}}, "data.n"),
-                                             ({"aux": {"mode": "none"}}, "'none'")])
+    @pytest.mark.parametrize("over, named", [
+        ({"data": {"n": 30}}, "data.n"),
+        ({"aux": {"mode": "none"}}, "'none'"),
+        ({"train": {"momentum": 0.9}}, "train.momentum"),
+        ({"train": {"weight_decay": 1e-4}}, "train.weight_decay"),
+        ({"train": {"probe_seed": 20240501}}, "train.probe_seed"),
+        ({"train": {"probe_count": 64}}, "train.probe_count"),
+        ({"search": {"ppo": {"epochs": 4}}}, "search.ppo"),
+    ])
     def test_removed_config_values_exit_2(self, workdir, capsys, over, named):
         cfg = write_cfg(workdir, "removed_value", **over)
         assert main(["train", "--config", cfg, "--strategy", "joint"]) == 2

@@ -10,6 +10,7 @@ from auxnas.model import ConfigError, TaskSpec, load_checkpoint
 from auxnas.train import (
     AuxCfg,
     DataError,
+    STRATEGY_KINDS,
     Strategy,
     TrainCfg,
     loss_depth,
@@ -160,6 +161,15 @@ class TestStrategyParsing:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigError):
             parse_strategy("magic")
+
+    def test_name_round_trip(self):
+        for kind, base in STRATEGY_KINDS.items():
+            for task in ((1, 2, 3) if base.endswith("-t") else (0,)):
+                s = Strategy(kind, task=task)
+                assert parse_strategy(s.name) == s
+        for name in ("single-t", "auxi-t", "auxi-tx", "prior-t0"):
+            with pytest.raises(ConfigError):
+                parse_strategy(name)
 
 
 class TestRunStrategy:
