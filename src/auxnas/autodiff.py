@@ -297,10 +297,6 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
                   lambda needs: lambda g: (g * inside,))
 
 
-def detach(x: Tensor) -> Tensor:
-    return Tensor(x.values)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 search, and the strategy-comparison table.
 
 Exit codes: 0 ok, 2 config/usage error, 3 IO error, 4 numeric divergence.
-AUXNAS_THREADS caps candidate/cell evaluation parallelism (default 1).
+AUXNAS_THREADS caps candidate/cell evaluation parallelism (default 1); a
+value that is not a whole number >= 1 exits 2.
 """
 
 from __future__ import annotations
@@ -40,15 +41,22 @@ EXIT_DIVERGED = 4
 
 
 def _threads() -> int:
+    raw = os.environ.get("AUXNAS_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("AUXNAS_THREADS", "1")))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"AUXNAS_THREADS must be a whole number >= 1, got {raw!r}")
+    return threads
 
 
 def cmd_gen_data(args) -> int:
-    gen_synthetic(args.out, seed=args.seed, n=args.n, h=args.h, w=args.w, k=args.k,
-                  val_n=args.val_n, test_n=args.test_n)
+    try:
+        gen_synthetic(args.out, seed=args.seed, n=args.n, h=args.h, w=args.w, k=args.k,
+                      val_n=args.val_n, test_n=args.test_n)
+    except ValueError as e:  # gen_synthetic checks its arguments before writing
+        raise ConfigError(str(e)) from e
     print(f"wrote {args.n} samples to {args.out}")
     return EXIT_OK
 
@@ -96,8 +104,9 @@ def cmd_search(args) -> int:
     for split in ("meta_train", "meta_val"):
         if not ds.splits.get(split):
             raise ConfigError(f"dataset has no {split} split")
+    threads = _threads()
     write_resolved(cfg, out_dir)
-    search_cfg = search_cfg_from_config(cfg, threads=_threads())
+    search_cfg = search_cfg_from_config(cfg, threads=threads)
     eval_cfg = eval_cfg_from_config(cfg, ds)
     policy = ControllerPolicy(P_TAPS, len(cfg["model"]["tasks"]),
                               np.random.default_rng(
@@ -144,6 +153,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least one strategy and one seed")
     tasks = tasks_from_config(cfg, ds)
     resolved = {name: strategy_from_config(cfg, name) for name in strategies}
+    threads = _threads()
     write_resolved(cfg, out_dir)
 
     donors: dict[tuple[int, int], dict] = {}
@@ -180,7 +190,6 @@ def cmd_compare(args) -> int:
         if strategy.needs_donor:
             donor_state(strategy, seed)
 
-    threads = _threads()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_cell, cells))

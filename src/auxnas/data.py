@@ -28,18 +28,18 @@ class FormatError(Exception):
     """Malformed tensor file: bad magic, version, dtype, or payload size."""
 
 
-def tensor_to_bytes(arr: np.ndarray) -> bytes:
+def write_tensor_stream(fh, arr: np.ndarray) -> None:
+    """Write one TNSR block; the payload goes out from the array's own memory."""
     code = _CODE_FOR.get(arr.dtype)
     if code is None:
         raise FormatError(f"unsupported dtype {arr.dtype}")
-    head = _MAGIC + struct.pack("<IBB", _VERSION, code, arr.ndim)
-    head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + np.ascontiguousarray(arr).astype(_DTYPE_CODES[code], copy=False).tobytes()
+    fh.write(_MAGIC + struct.pack(f"<IBB{arr.ndim}I", _VERSION, code, arr.ndim, *arr.shape))
+    fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).data)
 
 
 def write_tensor_file(path: str, arr: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(arr))
+        write_tensor_stream(fh, arr)
 
 
 def read_exact(fh, size: int, what: str) -> bytes:
@@ -67,7 +67,7 @@ def read_tensor_stream(fh) -> np.ndarray:
     dtype = _DTYPE_CODES[code]
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
     payload = read_exact(fh, count * dtype.itemsize, "payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    return np.frombuffer(payload, dtype=dtype).reshape(shape)
 
 
 def read_tensor_file(path: str) -> np.ndarray:
@@ -119,14 +119,21 @@ _CLASS_PALETTE = np.array([
 ])
 
 
+def _check_scene_args(h: int, w: int, k: int) -> None:
+    for name, value in (("h", h), ("w", w)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if not 2 <= k <= len(_CLASS_PALETTE) + 1:
+        raise ValueError(f"k must be in 2..{len(_CLASS_PALETTE) + 1}, got {k}")
+
+
 def generate_sample(seed: int, index: int, h: int, w: int, k: int) -> dict:
     """One synthetic scene; deterministic in (seed, index).
 
     Tasks correlate through shared structure: each class has a base color,
     shading encodes depth, and normals derive from the depth field.
     """
-    if k - 1 > len(_CLASS_PALETTE):
-        raise ValueError(f"at most {len(_CLASS_PALETTE) + 1} classes supported")
+    _check_scene_args(h, w, k)
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     d0 = rng.uniform(2.5, 3.5)
@@ -169,9 +176,12 @@ def _split_indices(n: int, val_n: int | None, test_n: int | None) -> dict:
         val_n = n // 5
     if test_n is None:
         test_n = n // 10
+    for name, value in (("val_n", val_n), ("test_n", test_n)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     train_n = n - val_n - test_n
     if train_n < 1:
-        raise ValueError(f"splits leave no training samples (n={n}, val={val_n}, test={test_n})")
+        raise ValueError(f"val_n={val_n} and test_n={test_n} leave no training sample of n={n}")
     train = list(range(train_n))
     meta_cut = max(1, int(train_n * 0.8))
     return {
@@ -183,28 +193,31 @@ def _split_indices(n: int, val_n: int | None, test_n: int | None) -> dict:
     }
 
 
-def sample_file_names(index: int) -> dict:
-    return {m: f"{index}_{m}.tnsr" for m in ("img", "seg", "dep", "nrm")}
+def _stacked_layout(n: int, h: int, w: int) -> dict:
+    """Shape and dtype of each modality's file, sample index first."""
+    return {"img": ((n, 3, h, w), np.dtype(np.float32)),
+            "seg": ((n, h, w), np.dtype(np.int32)),
+            "dep": ((n, h, w), np.dtype(np.float32)),
+            "nrm": ((n, 3, h, w), np.dtype(np.float32))}
 
 
 def gen_synthetic(out_dir: str, seed: int, n: int, h: int = 32, w: int = 32, k: int = 5,
                   val_n: int | None = None, test_n: int | None = None) -> dict:
-    """Write a dataset directory (manifest.json + 4 tensor files per sample)."""
+    """Write a dataset directory: manifest.json plus one stacked tensor file
+    per modality. Every argument is checked before anything is written; a
+    bad argument raises ValueError naming it."""
     if n < 1:
-        raise ValueError("n must be >= 1")
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_scene_args(h, w, k)
+    splits = _split_indices(n, val_n, test_n)
+    arrays = {m: np.empty(shape, dtype) for m, (shape, dtype) in _stacked_layout(n, h, w).items()}
     for i in range(n):
-        s = generate_sample(seed, i, h, w, k)
-        names = sample_file_names(i)
-        for m, name in names.items():
-            write_tensor_file(os.path.join(out_dir, name), s[m])
-        files.append(names)
-    manifest = {
-        "n": n, "H": h, "W": w, "K": k, "seed": seed,
-        "splits": _split_indices(n, val_n, test_n),
-        "files": files,
-    }
+        for m, v in generate_sample(seed, i, h, w, k).items():
+            arrays[m][i] = v
+    os.makedirs(out_dir, exist_ok=True)
+    for m, arr in arrays.items():
+        write_tensor_file(os.path.join(out_dir, f"{m}.tnsr"), arr)
+    manifest = {"n": n, "H": h, "W": w, "K": k, "seed": seed, "splits": splits}
     with open(os.path.join(out_dir, "manifest.json"), "w", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -212,27 +225,31 @@ def gen_synthetic(out_dir: str, seed: int, n: int, h: int = 32, w: int = 32, k: 
 
 
 class SyntheticDataset:
-    """Eagerly loaded dataset directory; read-only after construction."""
+    """Eagerly loaded dataset directory: ``arrays`` maps each modality to its
+    stacked, read-only (n, ...) array, checked against the manifest."""
 
     def __init__(self, root: str):
-        self.root = root
         with open(os.path.join(root, "manifest.json")) as fh:
-            self.manifest = json.load(fh)
-        self.n = self.manifest["n"]
-        self.h = self.manifest["H"]
-        self.w = self.manifest["W"]
-        self.k = self.manifest["K"]
-        self.splits = {name: list(idx) for name, idx in self.manifest["splits"].items()}
-        self._samples = []
-        for names in self.manifest["files"]:
-            self._samples.append({m: read_tensor_file(os.path.join(root, f))
-                                  for m, f in names.items()})
+            manifest = json.load(fh)
+        self.n = manifest["n"]
+        self.h = manifest["H"]
+        self.w = manifest["W"]
+        self.k = manifest["K"]
+        self.splits = {name: list(idx) for name, idx in manifest["splits"].items()}
+        self.arrays = {}
+        for m, (shape, dtype) in _stacked_layout(self.n, self.h, self.w).items():
+            path = os.path.join(root, f"{m}.tnsr")
+            arr = read_tensor_file(path)
+            if arr.shape != shape or arr.dtype != dtype:
+                raise FormatError(f"{path}: {arr.dtype} {arr.shape}, manifest needs {dtype} {shape}")
+            self.arrays[m] = arr
 
     def __len__(self):
         return self.n
 
     def sample(self, i: int) -> dict:
-        return self._samples[i]
+        """Read-only views of sample ``i`` in every modality."""
+        return {m: arr[i] for m, arr in self.arrays.items()}
 
 
 # ---------------------------------------------------------------------------

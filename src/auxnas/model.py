@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor, check_finite
-from .data import FormatError, read_exact, read_tensor_stream, tensor_to_bytes
+from .data import FormatError, read_exact, read_tensor_stream, write_tensor_stream
 from .layers import Aspp, BuildCtx, ConvBN, TaskHead
 
 TAP_CHANNELS = (8, 16, 24, 32)
@@ -183,7 +183,7 @@ def save_checkpoint(path: str, params: ParamSet, variant: str, tasks: list[TaskS
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC + struct.pack("<IQ", _CKPT_VERSION, len(blob)) + blob)
         for n in names:
-            fh.write(tensor_to_bytes(params[n].values))
+            write_tensor_stream(fh, params[n].values)
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:

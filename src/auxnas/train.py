@@ -338,16 +338,15 @@ def evaluate_split(setup: TrainSetup, ds: SyntheticDataset, split: str,
     idx = ds.splits[split]
     preds_by_task = {mt: [] for mt in setup.task_map}
     for s in range(0, len(idx), batch_size):
-        chunk = [ds.sample(i) for i in idx[s:s + batch_size]]
-        batch = collate(chunk)
-        preds, _ = setup.model.forward(batch["img"], "eval")
+        preds, _ = setup.model.forward(ds.arrays["img"][idx[s:s + batch_size]], "eval")
         for mt in preds_by_task:
             preds_by_task[mt].append(preds[mt].values)
-    gts = collate([ds.sample(i) for i in idx])
     out = {}
     for mt, task in enumerate(setup.model.tasks, start=1):
         stacked = np.concatenate(preds_by_task[mt])
-        gt = gts[LABEL_KEY[task.kind]]
+        gt = ds.arrays[LABEL_KEY[task.kind]][idx]
+        if task.kind == "depth":
+            gt = gt[:, None]  # the depth head predicts (N, 1, H, W)
         out[setup.task_map[mt]] = task_metrics(task.kind, stacked, gt, ds.k)
     return out
 

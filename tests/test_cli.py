@@ -16,7 +16,7 @@ from auxnas.config import (
     search_cfg_from_config,
     train_cfg_from_config,
 )
-from auxnas.data import SyntheticDataset
+from auxnas.data import SyntheticDataset, gen_synthetic, generate_sample, write_tensor_file
 from auxnas.model import ConfigError, TaskSpec, build_model, load_checkpoint, save_checkpoint
 from auxnas.search import SearchCfg
 from auxnas.train import AuxCfg, Strategy, TrainCfg, run_strategy
@@ -116,6 +116,16 @@ class TestConfig:
         assert main([command[0], "--config", cfg, *command[1:]]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    @pytest.mark.parametrize("command", [["search"],
+                                         ["compare", "--strategies", "joint", "--seeds", "1"]])
+    def test_bad_thread_count_exits_2(self, workdir, capsys, monkeypatch, command, value):
+        monkeypatch.setenv("AUXNAS_THREADS", value)
+        cfg = write_cfg(workdir, "bad_threads")
+        assert main([command[0], "--config", cfg, *command[1:]]) == 2
+        assert "AUXNAS_THREADS" in capsys.readouterr().err
+        assert not (workdir / "bad_threads" / "config.resolved.json").exists()
+
 
 class TestGenData:
     def test_deterministic_directories(self, tmp_path):
@@ -137,6 +147,22 @@ class TestGenData:
                      "--h", "8", "--w", "8"]) == 0
         manifest = json.loads((tmp_path / "one" / "manifest.json").read_text())
         assert manifest["n"] == 1
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--n", "0"], "n must be >= 1"),
+        (["--n", "4", "--h", "0"], "h must be >= 1"),
+        (["--n", "4", "--w", "-2"], "w must be >= 1"),
+        (["--n", "4", "--k", "12"], "k must be in 2..8"),
+        (["--n", "4", "--k", "1"], "k must be in 2..8"),
+        (["--n", "4", "--val-n", "-1"], "val_n must be >= 0"),
+        (["--n", "4", "--test-n", "-1"], "test_n must be >= 0"),
+        (["--n", "3", "--val-n", "5"], "val_n=5"),
+    ])
+    def test_bad_argument_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "bad"
+        assert main(["gen-data", "--seed", "1", "--out", str(out), *argv]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -223,6 +249,30 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--strategy", "joint"]) == 0
         header, _ = load_checkpoint(str(workdir / f"k{k}_run" / "model.ckpt"))
         assert [t["classes"] for t in header["tasks"] if t["kind"] == "seg"] == [k]
+
+    @pytest.mark.parametrize("damage", ["img_shape", "manifest_h", "old_layout"])
+    def test_dataset_disagreeing_with_manifest_is_io_error(self, workdir, tmp_path, capsys,
+                                                            damage):
+        data_dir = tmp_path / "data"
+        gen_synthetic(str(data_dir), seed=5, n=16, h=16, w=16, val_n=4, test_n=2)
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        if damage == "img_shape":
+            write_tensor_file(str(data_dir / "img.tnsr"), np.zeros((16, 3, 8, 8), np.float32))
+        elif damage == "manifest_h":
+            manifest["H"] = 8
+        else:  # one file per sample and modality, listed in the manifest
+            for m in ("img", "seg", "dep", "nrm"):
+                (data_dir / f"{m}.tnsr").unlink()
+            manifest["files"] = []
+            for i in range(16):
+                names = {m: f"{i}_{m}.tnsr" for m in ("img", "seg", "dep", "nrm")}
+                for m, arr in generate_sample(5, i, 16, 16, 5).items():
+                    write_tensor_file(str(data_dir / names[m]), arr)
+                manifest["files"].append(names)
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        cfg = write_cfg(workdir, f"damaged_{damage}", data={"dir": str(data_dir)})
+        assert main(["train", "--config", cfg, "--strategy", "joint"]) == 3
+        assert "img.tnsr" in capsys.readouterr().err
 
     def test_missing_dataset_is_io_error(self, workdir):
         cfg_path = workdir / "nodata.json"

@@ -1,6 +1,7 @@
 """Synthetic dataset generation, augmentation invariants, tensor file format."""
 
 import hashlib
+import io
 import os
 import struct
 
@@ -20,9 +21,15 @@ from auxnas.data import (
     generate_sample,
     read_tensor_file,
     rescale_sample,
-    tensor_to_bytes,
     write_tensor_file,
+    write_tensor_stream,
 )
+
+
+def tnsr_bytes(arr):
+    buf = io.BytesIO()
+    write_tensor_stream(buf, arr)
+    return buf.getvalue()
 
 
 def dir_digest(root):
@@ -48,12 +55,12 @@ class TestTensorFile:
 
     def test_header_arithmetic(self):
         arr = np.zeros((2, 2), dtype=np.float32)
-        assert len(tensor_to_bytes(arr)) == 4 + 4 + 1 + 1 + 8 + 16
+        assert len(tnsr_bytes(arr)) == 4 + 4 + 1 + 1 + 8 + 16
 
     def test_corrupted_magic(self, tmp_path):
         path = str(tmp_path / "bad.tnsr")
         arr = np.zeros(3, dtype=np.float32)
-        raw = bytearray(tensor_to_bytes(arr))
+        raw = bytearray(tnsr_bytes(arr))
         raw[0] = ord("X")
         with open(path, "wb") as fh:
             fh.write(raw)
@@ -62,7 +69,7 @@ class TestTensorFile:
 
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "short.tnsr")
-        raw = tensor_to_bytes(np.ones(4, dtype=np.float32))
+        raw = tnsr_bytes(np.ones(4, dtype=np.float32))
         with open(path, "wb") as fh:
             fh.write(raw[:-2])
         with pytest.raises(FormatError):
@@ -72,7 +79,7 @@ class TestTensorFile:
         # dims claiming 2^25 x 2^25 float64 (2^53 bytes) are rejected before
         # the payload read could try to allocate them
         path = str(tmp_path / "huge.tnsr")
-        raw = bytearray(tensor_to_bytes(np.ones((1, 1), dtype=np.float64)))
+        raw = bytearray(tnsr_bytes(np.ones((1, 1), dtype=np.float64)))
         raw[10:18] = struct.pack("<2I", 2 ** 25, 2 ** 25)
         with open(path, "wb") as fh:
             fh.write(raw)
@@ -82,13 +89,19 @@ class TestTensorFile:
     def test_trailing_garbage(self, tmp_path):
         path = str(tmp_path / "long.tnsr")
         with open(path, "wb") as fh:
-            fh.write(tensor_to_bytes(np.ones(2, dtype=np.float32)) + b"zz")
+            fh.write(tnsr_bytes(np.ones(2, dtype=np.float32)) + b"zz")
         with pytest.raises(FormatError):
             read_tensor_file(path)
 
     def test_unsupported_dtype(self):
         with pytest.raises(FormatError):
-            tensor_to_bytes(np.zeros(2, dtype=np.int64))
+            write_tensor_stream(io.BytesIO(), np.zeros(2, dtype=np.int64))
+
+    def test_non_contiguous_array_written_in_logical_order(self, tmp_path):
+        arr = np.arange(12, dtype=np.float32).reshape(3, 4).T
+        path = str(tmp_path / "t.tnsr")
+        write_tensor_file(path, arr)
+        assert np.array_equal(read_tensor_file(path), arr)
 
 
 class TestDeriveNormals:
@@ -145,6 +158,32 @@ class TestGeneration:
         assert len(sp["train"]) == 14
         assert sorted(sp["meta_train"] + sp["meta_val"]) == sp["train"]
         assert set(sp["meta_train"]).isdisjoint(sp["meta_val"])
+
+    def test_samples_equal_generate_sample(self, tmp_path):
+        gen_synthetic(str(tmp_path / "d"), seed=4, n=7, h=12, w=10, k=6)
+        ds = SyntheticDataset(str(tmp_path / "d"))
+        for i in range(7):
+            want = generate_sample(4, i, 12, 10, 6)
+            got = ds.sample(i)
+            assert set(got) == set(want)
+            for m in want:
+                assert got[m].dtype == want[m].dtype and got[m].shape == want[m].shape
+                assert got[m].tobytes() == want[m].tobytes()
+
+    def test_directory_holds_manifest_and_four_stacked_files(self, tmp_path):
+        m = gen_synthetic(str(tmp_path / "d"), seed=2, n=5, h=8, w=8)
+        assert sorted(os.listdir(tmp_path / "d")) == [
+            "dep.tnsr", "img.tnsr", "manifest.json", "nrm.tnsr", "seg.tnsr"]
+        assert "files" not in m
+        assert read_tensor_file(str(tmp_path / "d" / "img.tnsr")).shape == (5, 3, 8, 8)
+        assert read_tensor_file(str(tmp_path / "d" / "seg.tnsr")).shape == (5, 8, 8)
+
+    def test_samples_are_read_only(self, tmp_path):
+        gen_synthetic(str(tmp_path / "d"), seed=2, n=3, h=8, w=8)
+        s = SyntheticDataset(str(tmp_path / "d")).sample(1)
+        for m in ("img", "seg", "dep", "nrm"):
+            with pytest.raises(ValueError):
+                s[m][..., 0] = 0
 
     def test_single_sample_manifest(self, tmp_path):
         m = gen_synthetic(str(tmp_path / "one"), seed=0, n=1, h=8, w=8)

@@ -347,15 +347,6 @@ class TestBackwardContract:
 
         assert np.array_equal(run(), run())
 
-    def test_detach_blocks_gradient(self, rng):
-        x = parameter(rng.random((2, 2)), dtype=np.float64)
-        w = parameter(rng.random((2, 2)), dtype=np.float64)
-        with Tape() as tape:
-            y = ad.detach(ad.mul(x, x))
-            tape.backward(ad.reduce_sum(ad.mul(y, w)))
-        assert x.grad is None
-        assert w.grad is not None and np.abs(w.grad).sum() > 0
-
     def test_nested_tapes_rejected(self):
         with Tape():
             with pytest.raises(ContractError):
