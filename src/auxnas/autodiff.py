@@ -557,10 +557,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
            dilation: int = 1, groups: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution, x:(N,C,H,W) w:(O,I,k,k) with I = C/groups.
 
-    Forward gathers a C-contiguous im2col matrix and runs one grouped
-    matmul. The backward folds the column gradient back (col2im) with k*k
-    strided slice-adds into a float64 buffer, one per kernel tap in
-    (ky, kx) order, so each input pixel sums its terms in a fixed order.
+    A depthwise conv (groups == C == O) at stride 1 runs per-tap windowed
+    multiply-adds; every other conv runs im2col and a grouped matmul.
     """
     xv, wv = x.values, w.values
     if xv.ndim != 4 or wv.ndim != 4:
@@ -580,7 +578,38 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     wo = conv_out_size(ww, k, stride, dilation, pad)
     if ho < 1 or wo < 1:
         raise DegenerateShapeError(f"conv2d output {ho}x{wo} for input {h}x{ww}")
+    if groups == c == o and stride == 1:
+        ov, x_w_grads = _depthwise_conv2d(xv, wv, dilation, pad, ho, wo)
+    else:
+        ov, x_w_grads = _im2col_conv2d(xv, wv, stride, dilation, groups, pad, ho, wo)
+    inputs = [x, w]
+    if b is not None:
+        if b.shape != (o,):
+            raise DimensionError(f"conv2d bias shape {b.shape}, expected ({o},)")
+        ov = ov + b.values.reshape(1, o, 1, 1)
+        inputs.append(b)
 
+    def vjp_builder(needs):
+        def vjp(g):
+            outs = list(x_w_grads(g, needs[0], needs[1]))
+            if b is not None:
+                outs.append(g.sum(axis=(0, 2, 3)) if needs[2] else None)
+            return tuple(outs)
+        return vjp
+
+    return _apply(inputs, ov, vjp_builder)
+
+
+def _im2col_conv2d(xv, wv, stride, dilation, groups, pad, ho, wo):
+    """conv2d's general kernel; returns y and grads(g, need_x, need_w) -> (dx, dw).
+
+    Forward gathers a C-contiguous im2col matrix and runs one grouped
+    matmul. The backward folds the column gradient back (col2im) with k*k
+    strided slice-adds into a float64 buffer, one per kernel tap in
+    (ky, kx) order, so each input pixel sums its terms in a fixed order.
+    """
+    n, c, h, ww = xv.shape
+    o, i, k, _ = wv.shape
     # pointwise fast path: the column matrix is just a reshape of x
     pointwise = k == 1 and stride == 1 and pad == 0
     if pointwise:
@@ -594,43 +623,67 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *, stride: int = 1,
     colg = col.reshape(n, groups, ckkg, ho * wo)
     wg = wv.reshape(groups, og, ckkg)
     ov = np.matmul(wg[None], colg).reshape(n, o, ho, wo)
-    inputs = [x, w]
-    if b is not None:
-        if b.shape != (o,):
-            raise DimensionError(f"conv2d bias shape {b.shape}, expected ({o},)")
-        ov = ov + b.values.reshape(1, o, 1, 1)
-        inputs.append(b)
 
-    def vjp_builder(needs):
-        def vjp(g):
-            gg = g.reshape(n, groups, og, ho * wo)
-            dw = db = dx = None
-            if needs[1]:
-                dw = np.matmul(gg, colg.swapaxes(-1, -2)).sum(axis=0).reshape(o, i, k, k)
-            if b is not None and needs[2]:
-                db = g.sum(axis=(0, 2, 3))
-            if needs[0]:
-                dcol = np.matmul(wg.swapaxes(-1, -2)[None], gg)
-                if pointwise:
-                    dx = dcol.reshape(n, c, h, ww)
-                else:
-                    # channels-last buffer: each slice-add runs its inner loop over n*c
-                    taps = dcol.reshape(n * c, k, k, ho, wo).transpose(1, 2, 3, 4, 0)
-                    dxp = np.zeros((hp, wp, n * c))
-                    ey, ex = stride * (ho - 1) + 1, stride * (wo - 1) + 1
-                    for ky in range(k):
-                        for kx in range(k):
-                            y0, x0 = ky * dilation, kx * dilation
-                            dxp[y0:y0 + ey:stride, x0:x0 + ex:stride] += taps[ky, kx]
-                    dx = (dxp[pad:pad + h, pad:pad + ww].transpose(2, 0, 1)
-                          .astype(xv.dtype, order="C").reshape(n, c, h, ww))
-            outs = [dx, dw]
-            if b is not None:
-                outs.append(db)
-            return tuple(outs)
-        return vjp
+    def grads(g, need_x, need_w):
+        gg = g.reshape(n, groups, og, ho * wo)
+        dx = dw = None
+        if need_w:
+            dw = np.matmul(gg, colg.swapaxes(-1, -2)).sum(axis=0).reshape(o, i, k, k)
+        if need_x:
+            dcol = np.matmul(wg.swapaxes(-1, -2)[None], gg)
+            if pointwise:
+                dx = dcol.reshape(n, c, h, ww)
+            else:
+                # channels-last buffer: each slice-add runs its inner loop over n*c
+                taps = dcol.reshape(n * c, k, k, ho, wo).transpose(1, 2, 3, 4, 0)
+                dxp = np.zeros((hp, wp, n * c))
+                ey, ex = stride * (ho - 1) + 1, stride * (wo - 1) + 1
+                for ky in range(k):
+                    for kx in range(k):
+                        y0, x0 = ky * dilation, kx * dilation
+                        dxp[y0:y0 + ey:stride, x0:x0 + ex:stride] += taps[ky, kx]
+                dx = (dxp[pad:pad + h, pad:pad + ww].transpose(2, 0, 1)
+                      .astype(xv.dtype, order="C").reshape(n, c, h, ww))
+        return dx, dw
 
-    return _apply(inputs, ov, vjp_builder)
+    return ov, grads
+
+
+def _depthwise_conv2d(xv, wv, dilation, pad, ho, wo):
+    """conv2d's kernel for groups == C == O at stride 1, returning as
+    ``_im2col_conv2d`` does: per-tap multiply-adds of each channel's weight
+    with the window of x the tap reads. Taps that read only padding are
+    skipped. dx adds the products w*g into a float64 buffer in (ky, kx)
+    order, as col2im does, so it is bitwise equal to it."""
+    n, c, h, ww = xv.shape
+    k = wv.shape[-1]
+    taps = []  # (tap, output window, input window)
+    for t in range(k * k):
+        sy, sx = (t // k) * dilation - pad, (t % k) * dilation - pad  # input shift
+        y0, y1, x0, x1 = max(0, -sy), min(ho, h - sy), max(0, -sx), min(wo, ww - sx)
+        if y0 < y1 and x0 < x1:
+            taps.append((t, (..., slice(y0, y1), slice(x0, x1)),
+                         (..., slice(y0 + sy, y1 + sy), slice(x0 + sx, x1 + sx))))
+    wt = wv.reshape(1, c, k * k, 1, 1)  # wt[:, :, t] is tap t's (1, C, 1, 1) weight
+    ov = np.zeros((n, c, ho, wo), dtype=xv.dtype)
+    for t, out_win, in_win in taps:
+        ov[out_win] += wt[:, :, t] * xv[in_win]
+
+    def grads(g, need_x, need_w):
+        dx = dw = None
+        if need_w:
+            dw = np.zeros((c, k * k), dtype=wv.dtype)
+            for t, out_win, in_win in taps:
+                dw[:, t] = (g[out_win] * xv[in_win]).sum(axis=(0, 2, 3))
+            dw = dw.reshape(wv.shape)
+        if need_x:
+            acc = np.zeros((n, c, h, ww))
+            for t, out_win, in_win in taps:
+                acc[in_win] += wt[:, :, t] * g[out_win]
+            dx = acc.astype(xv.dtype)
+        return dx, dw
+
+    return ov, grads
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +732,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
     m = n * h * w
     mu = xv.mean(axis=(0, 2, 3))
-    var = xv.var(axis=(0, 2, 3))
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xv.dtype))
     xc = xv - mu.reshape(1, c, 1, 1)
+    # the sums and divisions np.var makes, without forming xc a second time
+    var = np.square(xc).sum(axis=(0, 2, 3)) / m
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xv.dtype))
     xhat = xc * inv.reshape(1, c, 1, 1)
     ov = gv * xhat + bv
     mom = np.asarray(momentum, dtype=running_mean.dtype)
@@ -754,7 +808,12 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
 def grid_sample_bilinear(x: Tensor, points: Tensor) -> Tensor:
     """Bilinear reads of x:(N,C,H,W) at points:(N,M,2) in (row, col) pixel
     coordinates. Out-of-bounds points clamp to the border (saturating the
-    coordinate gradient there). Output is (N,C,M)."""
+    coordinate gradient there). Output is (N,C,M).
+
+    The forward builds one (4, N, M) index of the four corner pixels and
+    reads each corner as one row of a channels-last (N*H*W, C) copy of x.
+    The backward folds each corner back with one bincount over that index.
+    """
     xv, pv = x.values, points.values
     if xv.ndim != 4 or pv.ndim != 3 or pv.shape[-1] != 2:
         raise DimensionError("grid_sample expects NCHW input and (N,M,2) points")
@@ -762,52 +821,38 @@ def grid_sample_bilinear(x: Tensor, points: Tensor) -> Tensor:
         raise DimensionError("grid_sample batch mismatch")
     _same_dtype(x, points)
     n, c, h, w = xv.shape
-    m = pv.shape[1]
     py = np.clip(pv[:, :, 0], 0.0, h - 1.0)
     px = np.clip(pv[:, :, 1], 0.0, w - 1.0)
     y0 = np.floor(py).astype(np.intp)
     x0 = np.floor(px).astype(np.intp)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (py - y0).astype(xv.dtype)
-    wx = (px - x0).astype(xv.dtype)
-
-    xf = xv.reshape(n, c, h * w)
-
-    def gather(yi, xi):
-        lin = (yi * w + xi)[:, None, :]
-        return np.take_along_axis(xf, lin, axis=2)
-
-    v00 = gather(y0, x0)
-    v01 = gather(y0, x1)
-    v10 = gather(y1, x0)
-    v11 = gather(y1, x1)
-    wyb = wy[:, None, :]
-    wxb = wx[:, None, :]
-    ov = (v00 * (1 - wyb) * (1 - wxb) + v01 * (1 - wyb) * wxb
-          + v10 * wyb * (1 - wxb) + v11 * wyb * wxb)
+    wy = (py - y0).astype(xv.dtype)[:, None, :]
+    wx = (px - x0).astype(xv.dtype)[:, None, :]
+    uy, ux = 1 - wy, 1 - wx
+    # corner pixels within their sample, in (y0x0, y0x1, y1x0, y1x1) order
+    pix = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
+    rows = xv.transpose(0, 2, 3, 1).reshape(n * h * w, c)
+    v = np.take(rows, pix + np.arange(0, n * h * w, h * w)[:, None], axis=0)
+    v00, v01, v10, v11 = v.transpose(0, 1, 3, 2).copy()
+    ov = v00 * uy * ux + v01 * uy * wx + v10 * wy * ux + v11 * wy * wx
 
     def vjp_builder(needs):
         def vjp(g):
             dx = dp = None
             if needs[0]:
-                span = h * w
-                base = (np.arange(n * c, dtype=np.intp) * span).reshape(n, c, 1)
-                acc = np.zeros(n * c * span, dtype=np.float64)
-                for yi, xi, wgt in ((y0, x0, (1 - wyb) * (1 - wxb)),
-                                    (y0, x1, (1 - wyb) * wxb),
-                                    (y1, x0, wyb * (1 - wxb)),
-                                    (y1, x1, wyb * wxb)):
-                    lin = (yi * w + xi)[:, None, :] + base
-                    acc += np.bincount(lin.ravel(),
+                base = np.arange(0, n * c * h * w, h * w).reshape(n, c, 1)
+                acc = np.zeros(n * c * h * w)
+                for corner, wgt in zip(pix, (uy * ux, uy * wx, wy * ux, wy * wx)):
+                    acc += np.bincount((corner[:, None, :] + base).ravel(),
                                        weights=(g * wgt).ravel().astype(np.float64),
-                                       minlength=n * c * span)
+                                       minlength=acc.size)
                 dx = acc.reshape(n, c, h, w).astype(xv.dtype)
             if needs[1]:
                 inner_y = ((pv[:, :, 0] > 0) & (pv[:, :, 0] < h - 1)).astype(xv.dtype)
                 inner_x = ((pv[:, :, 1] > 0) & (pv[:, :, 1] < w - 1)).astype(xv.dtype)
-                dpy = (g * ((v10 - v00) * (1 - wxb) + (v11 - v01) * wxb)).sum(axis=1)
-                dpx = (g * ((v01 - v00) * (1 - wyb) + (v11 - v10) * wyb)).sum(axis=1)
+                dpy = (g * ((v10 - v00) * ux + (v11 - v01) * wx)).sum(axis=1)
+                dpx = (g * ((v01 - v00) * uy + (v11 - v10) * wy)).sum(axis=1)
                 dp = np.stack([dpy * inner_y, dpx * inner_x], axis=-1)
             return (dx, dp)
         return vjp

@@ -229,8 +229,15 @@ class SyntheticDataset:
     stacked, read-only (n, ...) array, checked against the manifest."""
 
     def __init__(self, root: str):
-        with open(os.path.join(root, "manifest.json")) as fh:
-            manifest = json.load(fh)
+        path = os.path.join(root, "manifest.json")
+        try:
+            with open(path) as fh:
+                manifest = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}: {e}") from None
+        for key in ("n", "H", "W", "K", "splits"):
+            if not isinstance(manifest, dict) or key not in manifest:
+                raise FormatError(f"{path}: the manifest has no {key!r}")
         self.n = manifest["n"]
         self.h = manifest["H"]
         self.w = manifest["W"]

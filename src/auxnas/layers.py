@@ -121,13 +121,14 @@ class Identity:
 
 @lru_cache(maxsize=64)
 def _deform_base_grid(h: int, w: int, dtype_name: str):
-    """Sampling anchors (h*w*9, 2) into a 1-padded image for zero offsets."""
+    """Sampling anchors (9*h*w, 2) into a 1-padded image for zero offsets,
+    tap-major: all pixels of tap 0, then of tap 1, ..."""
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     ky, kx = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
     # padded coordinate = output coord + kernel tap - 1 (taps span -1..1) + 1 (pad shift)
-    py = ys.reshape(-1, 1) + ky.reshape(1, 9)
-    px = xs.reshape(-1, 1) + kx.reshape(1, 9)
-    return np.stack([py, px], axis=-1).reshape(h * w * 9, 2).astype(dtype_name)
+    py = ky.reshape(9, 1) + ys.reshape(1, h * w)
+    px = kx.reshape(9, 1) + xs.reshape(1, h * w)
+    return np.stack([py, px], axis=-1).reshape(9 * h * w, 2).astype(dtype_name)
 
 
 def deform_conv3x3(x: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
@@ -136,7 +137,9 @@ def deform_conv3x3(x: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
     offsets is (N, 18, H, W) with channels (dy_0, dx_0, ..., dy_8, dx_8) per
     kernel tap in row-major tap order. The input is zero-padded by one pixel
     before sampling, so zero offsets reproduce an ordinary 3x3 conv with
-    pad=1; samples pushed further out clamp into the zero ring.
+    pad=1; samples pushed further out clamp into the zero ring. The points
+    are tap-major, so the (N, C, 9*H*W) samples are already the (N, C*9, H*W)
+    column matrix of the weight's (O, C*9) view.
     """
     n, c, h, ww = x.shape
     cout = w.shape[0]
@@ -144,14 +147,11 @@ def deform_conv3x3(x: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
         raise ad.DimensionError(f"deform offsets shape {offsets.shape}")
     xpad = ad.pad2d(x, 1)
     off = ad.reshape(offsets, (n, 9, 2, h, ww))
-    off = ad.transpose(off, (0, 3, 4, 1, 2))
-    off = ad.reshape(off, (n, h * ww * 9, 2))
+    off = ad.transpose(off, (0, 1, 3, 4, 2))
+    off = ad.reshape(off, (n, 9 * h * ww, 2))
     base = _deform_base_grid(h, ww, np.dtype(x.dtype).name)
-    pts = ad.add(off, Tensor(np.broadcast_to(base, (n, h * ww * 9, 2)).copy()))
-    g = ad.grid_sample_bilinear(xpad, pts)
-    col = ad.reshape(g, (n, c, h * ww, 9))
-    col = ad.transpose(col, (0, 1, 3, 2))
-    col = ad.reshape(col, (n, c * 9, h * ww))
+    pts = ad.add(off, Tensor(np.broadcast_to(base, (n, 9 * h * ww, 2)).copy()))
+    col = ad.reshape(ad.grid_sample_bilinear(xpad, pts), (n, c * 9, h * ww))
     out = ad.matmul(ad.reshape(w, (cout, c * 9)), col)
     return ad.reshape(out, (n, cout, h, ww))
 

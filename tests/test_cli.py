@@ -274,6 +274,21 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--strategy", "joint"]) == 3
         assert "img.tnsr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["n", "H", "W", "K", "splits", "not_json", "not_object"])
+    def test_malformed_manifest_is_io_error(self, workdir, tmp_path, capsys, damage):
+        data_dir = tmp_path / "data"
+        gen_synthetic(str(data_dir), seed=5, n=8, h=16, w=16, val_n=2, test_n=2)
+        path = data_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        texts = {"not_json": '{"n": 8,', "not_object": "[1, 2]"}
+        if damage not in texts:  # a missing key
+            del manifest[damage]
+        path.write_text(texts.get(damage) or json.dumps(manifest))
+        cfg = write_cfg(workdir, f"manifest_{damage}", data={"dir": str(data_dir)})
+        assert main(["train", "--config", cfg, "--strategy", "joint"]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and (damage in texts or f"no {damage!r}" in err)
+
     def test_missing_dataset_is_io_error(self, workdir):
         cfg_path = workdir / "nodata.json"
         cfg_path.write_text(json.dumps({"data": {"dir": str(workdir / "missing")},

@@ -14,6 +14,7 @@ from auxnas.autodiff import (
     constant,
     parameter,
 )
+from auxnas.layers import deform_conv3x3
 
 from _gradcheck import check_grads
 
@@ -116,6 +117,24 @@ class TestBatchNorm:
             return ad.reduce_mean(ad.mul(y, ad.exp(ad.scale(y, 0.1))))
 
         check_grads(loss, [x, g, b], rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(4, 5, 6, 7), (1, 3, 1, 1), (12, 16, 16, 16), (2, 8, 3, 2)])
+    def test_train_forward_matches_np_var(self, rng, shape, dtype):
+        c = shape[1]
+        x = (3.0 * rng.standard_normal(shape) + 1.5).astype(dtype)
+        gam, bet = (rng.standard_normal(c).astype(dtype) for _ in range(2))
+        rm, rv = self._state(c, dtype)
+        rv.values[...] = rng.random(c) + 0.5
+        rv0 = rv.values.copy()
+        out = ad.batch_norm(constant(x, dtype), constant(gam, dtype), constant(bet, dtype),
+                            rm, rv, mode="train", momentum=0.1)
+        mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv = 1.0 / np.sqrt(var + np.asarray(1e-5, dtype=dtype))
+        xhat = (x - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
+        mom = np.asarray(0.1, dtype=dtype)
+        assert np.array_equal(out.values, gam.reshape(1, c, 1, 1) * xhat + bet.reshape(1, c, 1, 1))
+        assert np.array_equal(rv.values, (1 - mom) * rv0 + mom * var)
 
     def test_empty_batch_rejected(self):
         x = constant(np.zeros((1, 2, 0, 4)))
@@ -453,6 +472,36 @@ def ref_resize_dx(g, h, w):
     return acc.reshape(n, c, h, w).astype(g.dtype)
 
 
+def ref_grid_sample(xv, pv, g):
+    """Four take_along_axis gathers forward, four bincount scatters for dx.
+    Returns (y, dx, dpoints)."""
+    n, c, h, w = xv.shape
+    py = np.clip(pv[:, :, 0], 0.0, h - 1.0)
+    px = np.clip(pv[:, :, 1], 0.0, w - 1.0)
+    y0, x0 = np.floor(py).astype(np.intp), np.floor(px).astype(np.intp)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    wy = (py - y0).astype(xv.dtype)[:, None, :]
+    wx = (px - x0).astype(xv.dtype)[:, None, :]
+    xf = xv.reshape(n, c, h * w)
+    corners = [(y0, x0, (1 - wy) * (1 - wx)), (y0, x1, (1 - wy) * wx),
+               (y1, x0, wy * (1 - wx)), (y1, x1, wy * wx)]
+    v00, v01, v10, v11 = (np.take_along_axis(xf, (yi * w + xi)[:, None, :], axis=2)
+                          for yi, xi, _ in corners)
+    y = (v00 * (1 - wy) * (1 - wx) + v01 * (1 - wy) * wx
+         + v10 * wy * (1 - wx) + v11 * wy * wx)
+    base = (np.arange(n * c, dtype=np.intp) * (h * w)).reshape(n, c, 1)
+    acc = np.zeros(n * c * h * w)
+    for yi, xi, wgt in corners:
+        acc += np.bincount(((yi * w + xi)[:, None, :] + base).ravel(),
+                           weights=(g * wgt).ravel().astype(np.float64), minlength=acc.size)
+    inner_y = ((pv[:, :, 0] > 0) & (pv[:, :, 0] < h - 1)).astype(xv.dtype)
+    inner_x = ((pv[:, :, 1] > 0) & (pv[:, :, 1] < w - 1)).astype(xv.dtype)
+    dpy = (g * ((v10 - v00) * (1 - wx) + (v11 - v01) * wx)).sum(axis=1)
+    dpx = (g * ((v01 - v00) * (1 - wy) + (v11 - v10) * wy)).sum(axis=1)
+    dp = np.stack([dpy * inner_y, dpx * inner_x], axis=-1)
+    return y, acc.reshape(n, c, h, w).astype(xv.dtype), dp
+
+
 def taped_grads(fn, xs, g):
     """Run fn(*xs) on a tape with upstream gradient exactly g; returns the
     output values and the input grads."""
@@ -497,6 +546,68 @@ class TestConvReference:
             tol = 4 * np.finfo(dtype).eps
             close_to(y, y_ref, tol)
             close_to(dw, dw_ref, tol)
+
+
+class TestDepthwiseReference:
+    """groups == C == O at stride 1 (one output channel per group) takes the
+    direct depthwise path. On the 4x4 and 2x2 maps some taps read only
+    padding; with pad > dilation some outputs read only padding."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("extra_pad", [0, 1])
+    @pytest.mark.parametrize("size", [(9, 8), (4, 4), (2, 2)])
+    @pytest.mark.parametrize("dilation", [1, 3, 6])
+    def test_matches_gather_bincount(self, rng, dilation, size, extra_pad, dtype):
+        pad = dilation + extra_pad
+        xv = rng.standard_normal((3, 5) + size).astype(dtype)
+        wv = rng.standard_normal((5, 1, 3, 3)).astype(dtype)
+        ho, wo = (ad.conv_out_size(s, 3, 1, dilation, pad) for s in size)
+        g = rng.standard_normal((3, 5, ho, wo)).astype(dtype)
+        y_ref, dx_ref, dw_ref = ref_conv2d(xv, wv, g, 1, dilation, 5, pad)
+        y, (dx, dw) = taped_grads(
+            lambda x, w: ad.conv2d(x, w, dilation=dilation, groups=5, pad=pad),
+            [parameter(xv), parameter(wv)], g)
+        assert dx.dtype == dtype and np.array_equal(dx, dx_ref)
+        tol = 4 * np.finfo(dtype).eps
+        close_to(y, y_ref, tol)
+        close_to(dw, dw_ref, tol)
+
+
+class TestGridSampleReference:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape,m", [((2, 3, 5, 4), 17), ((1, 2, 1, 3), 5),
+                                         ((3, 16, 6, 6), 144), ((2, 1, 2, 2), 1)])
+    def test_matches_gather_bincount(self, rng, shape, m, dtype):
+        n, c, h, w = shape
+        xv = rng.standard_normal(shape).astype(dtype)
+        # points inside, on the lattice, on the border and past it
+        pv = np.stack([rng.uniform(-1.5, h + 0.5, (n, m)),
+                       rng.uniform(-1.5, w + 0.5, (n, m))], axis=-1)
+        pv[:, ::3] = np.round(pv[:, ::3])
+        pv = pv.astype(dtype)
+        g = rng.standard_normal((n, c, m)).astype(dtype)
+        y, (dx, dp) = taped_grads(ad.grid_sample_bilinear, [parameter(xv), parameter(pv)], g)
+        y_ref, dx_ref, dp_ref = ref_grid_sample(xv, pv, g)
+        assert y.dtype == dtype and np.array_equal(y, y_ref)
+        assert dx.dtype == dtype and np.array_equal(dx, dx_ref)
+        close_to(dp, dp_ref, 4 * np.finfo(dtype).eps)
+
+
+class TestDeformReference:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_zero_offsets_match_conv_pad1(self, rng, dtype):
+        xv = rng.standard_normal((2, 3, 5, 6)).astype(dtype)
+        wv = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        off = constant(np.zeros((2, 18, 5, 6)), dtype=dtype)
+        g = rng.standard_normal((2, 4, 5, 6)).astype(dtype)
+        y, (dx, dw) = taped_grads(lambda x, w: deform_conv3x3(x, off, w),
+                                  [parameter(xv), parameter(wv)], g)
+        y_ref, (dx_ref, dw_ref) = taped_grads(lambda x, w: ad.conv2d(x, w, pad=1),
+                                              [parameter(xv), parameter(wv)], g)
+        tol = 4 * np.finfo(dtype).eps
+        close_to(y, y_ref, tol)
+        close_to(dx, dx_ref, tol)
+        close_to(dw, dw_ref, tol)
 
 
 class TestPadReplicateReference:
