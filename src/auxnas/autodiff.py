@@ -318,7 +318,9 @@ def pad2d(x: Tensor, p: int) -> Tensor:
     """Zero-pad the two trailing spatial axes of an NCHW tensor by p."""
     if x.values.ndim != 4:
         raise DimensionError("pad2d expects NCHW input")
-    ov = np.pad(x.values, ((0, 0), (0, 0), (p, p), (p, p)))
+    n, c, h, w = x.shape
+    ov = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    ov[:, :, p:p + h, p:p + w] = x.values
     return _apply([x], ov,
                   lambda needs: lambda g: (g[:, :, p:g.shape[2] - p, p:g.shape[3] - p] if p else g,))
 
@@ -617,7 +619,10 @@ def _im2col_conv2d(xv, wv, stride, dilation, groups, pad, ho, wo):
         col = xv.reshape(n, c, ho * wo)
     else:
         idx, hp, wp, _, _ = _im2col_index(c, h, ww, k, stride, dilation, pad)
-        xp = np.pad(xv, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xv
+        xp = xv
+        if pad:
+            xp = np.zeros((n, c, hp, wp), dtype=xv.dtype)
+            xp[:, :, pad:pad + h, pad:pad + ww] = xv
         col = np.take(xp.reshape(n, c * hp * wp), idx.ravel(), axis=1)
     og, ckkg = o // groups, i * k * k
     colg = col.reshape(n, groups, ckkg, ho * wo)

@@ -80,6 +80,20 @@ class Genotype:
     def tokens(self) -> list[int]:
         return [tok for c in self.flat_cells() for tok in c.tokens()]
 
+    def live_cells(self) -> set[int]:
+        """Flat indices of the cells that reach a head: each task's last cell
+        (location P + t*P + P-1) and every cell it reads through in1/in2."""
+        flat = self.flat_cells()
+        stack = [t * self.p + self.p - 1 for t in range(self.t)]
+        live: set[int] = set()
+        while stack:
+            i = stack.pop()
+            if i not in live:
+                live.add(i)
+                stack.extend(loc - self.p for loc in (flat[i].in1, flat[i].in2)
+                             if loc >= self.p)
+        return live
+
     def validate(self, allow_own_task: bool = True) -> None:
         for t in range(self.t):
             for p in range(self.p):
@@ -174,7 +188,13 @@ class _BuiltCell:
 
 class GenotypeAuxSet:
     """All tasks' searched modules, instantiated in generation order so a
-    shared location list (taps then cell outputs) resolves every input."""
+    shared location list (taps then cell outputs) resolves every input.
+
+    Every cell is built, draws its parameters and counts for validity, but
+    forward evaluates only the live cells (Genotype.live_cells): a cell no
+    head reads is never evaluated, so its BN running statistics stay at
+    their initial values.
+    """
 
     def __init__(self, genotype: Genotype, tasks: list[TaskSpec], ctx: BuildCtx,
                  tap_channels: tuple[int, ...], c_aux: int,
@@ -187,6 +207,7 @@ class GenotypeAuxSet:
         genotype.validate(allow_own_task)
         self.genotype = genotype
         self.c_aux = c_aux
+        self.live = genotype.live_cells()
         loc_channels = list(tap_channels)
         self.built: list[_BuiltCell] = []
         self.heads: dict[int, TaskHead] = {}
@@ -212,7 +233,10 @@ class GenotypeAuxSet:
         ref_hw = taps[0].shape[2:]
         locs = list(taps)
         p = self.genotype.p
-        for bc in self.built:
+        for i, bc in enumerate(self.built):
+            if i not in self.live:
+                locs.append(None)
+                continue
             a1 = _align(bc.op1(locs[bc.cell.in1], mode), ref_hw)
             a2 = _align(bc.op2(locs[bc.cell.in2], mode), ref_hw)
             locs.append(bc.agg(a1, a2, mode))

@@ -89,7 +89,9 @@ def cmd_train(args) -> int:
                           train_cfg_from_config(cfg), aux_cfg,
                           donor_state=donor_state, out_dir=out_dir)
     if result.diverged:
-        print(f"run diverged; partial records in {out_dir}", file=sys.stderr)
+        last = result.records[-1]
+        print(f"run diverged at {last['diverged_at']} in iteration {last['iter']}; "
+              f"partial records in {out_dir}", file=sys.stderr)
         return EXIT_DIVERGED
     print(f"finished {strategy.name}: " + ", ".join(
         f"t{t} " + " ".join(f"{k}={v:.4f}" for k, v in m.items())
@@ -122,6 +124,8 @@ def cmd_search(args) -> int:
                 "metrics": rec.metrics,
                 "reward": rec.reward,
                 "diverged": rec.diverged,
+                "valid": rec.valid,
+                "budget_iters": rec.budget_iters,
                 "wall_ms": rec.wall_ms,
             }, sort_keys=True) + "\n")
     _write_csv(os.path.join(out_dir, "opstats.csv"), result.opstats)

@@ -422,10 +422,10 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
                 if not np.isfinite(total.values):
                     raise ad.NumericError("loss")
                 tape.backward(total)
-        except ad.NumericError:
+        except ad.NumericError as e:
             diverged = True
             records.append({"iter": it, "lr": poly_lr(it, train_cfg.iters, lr0),
-                            "loss_total": float("nan")})
+                            "loss_total": float("nan"), "diverged_at": e.path})
             break
 
         lr = poly_lr(it, train_cfg.iters, lr0)

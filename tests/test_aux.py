@@ -8,7 +8,9 @@ from auxnas import autodiff as ad
 from auxnas.autodiff import ParamSet, Tape
 from auxnas.auxiliary import (
     AuxCell,
+    _align,
     Genotype,
+    GenotypeAuxSet,
     available_locations,
     build_basic_aux,
     build_from_genotype,
@@ -21,6 +23,7 @@ from auxnas.auxiliary import (
 from auxnas.layers import AdaptorOp, AggOp, BuildCtx, GenotypeError
 from auxnas.model import TaskSpec, build_model, load_checkpoint, save_checkpoint
 from auxnas.auxiliary import BasicAuxModule
+from test_controller import random_valid_genotype
 
 TASKS2 = [TaskSpec("seg", 5), TaskSpec("depth")]
 C_AUX = 16
@@ -133,6 +136,110 @@ class TestGenotype:
         path = tmp_path / "g.json"
         save_genotype(str(path), g)
         assert load_genotype(str(path)) == g
+
+
+def full_forward(aux, taps, out_hw, mode):
+    """Reference forward: evaluate every built cell, live or dead."""
+    ref_hw = taps[0].shape[2:]
+    locs = list(taps)
+    for bc in aux.built:
+        a1 = _align(bc.op1(locs[bc.cell.in1], mode), ref_hw)
+        a2 = _align(bc.op2(locs[bc.cell.in2], mode), ref_hw)
+        locs.append(bc.agg(a1, a2, mode))
+    p = aux.genotype.p
+    return {t: head(locs[len(taps) + (t - 1) * p + p - 1], out_hw[0], out_hw[1], mode)
+            for t, head in aux.heads.items()}
+
+
+TAP_SHAPES = ((8, 8, 8), (16, 4, 4), (24, 4, 4), (32, 2, 2))
+TASKS3 = [TaskSpec("seg", 5), TaskSpec("depth"), TaskSpec("normal")]
+
+
+def run_aux(g, tasks, dtype, forward, seed=0):
+    """One train-mode forward and backward of a genotype's aux set on fixed
+    random taps; returns the loss, every grad, every BN buffer, the op count."""
+    taps_spec = TAP_SHAPES[:g.p]
+    ps = ParamSet()
+    aux = build_from_genotype(ps, np.random.default_rng(seed), g, tasks,
+                              tuple(c for c, _, _ in taps_spec), C_AUX, dtype=dtype)
+    rng = np.random.default_rng(seed + 1)
+    taps = [ad.Tensor(rng.standard_normal((2, c, h, w)).astype(dtype), requires_grad=True)
+            for c, h, w in taps_spec]
+    ps.zero_grad()
+    with Tape() as tape:
+        preds = forward(aux, taps, (8, 8), "train")
+        loss = None
+        for t in sorted(preds):
+            term = ad.reduce_mean(ad.mul(preds[t], preds[t]))
+            loss = term if loss is None else ad.add(loss, term)
+        tape.backward(loss)
+        n_ops = len(tape._ops)
+    grads = {p: ps[p].grad for p in ps.paths() if ps.trainable(p)}
+    grads.update({f"tap{i}": t.grad for i, t in enumerate(taps)})
+    buffers = {p: ps[p].values for p in ps.paths() if not ps.trainable(p)}
+    return loss.values, grads, buffers, n_ops
+
+
+def cell_prefix(g, i):
+    return f"aux.t{i // g.p + 1}.cell{i % g.p}."
+
+
+class TestLiveCells:
+    def test_basic_chain_all_live(self):
+        assert basic_chain_genotype(4, 2).live_cells() == set(range(8))
+
+    def test_cross_task_read_keeps_earlier_task_cell(self):
+        g = Genotype(2, 2, (
+            (cell(0, 0), cell(0, 1)),  # task 1's head reads taps only
+            (cell(1, 0), cell(2, 1, AdaptorOp.SKIP_CONNECT)),  # reads task 1 cell 0
+        ))
+        g.validate()
+        assert g.live_cells() == {0, 1, 3}
+
+    def test_p1_every_cell_feeds_its_head(self):
+        assert Genotype(1, 1, ((cell(0, 0),),)).live_cells() == {0}
+        assert Genotype(1, 2, ((cell(0, 0),), (cell(0, 0),))).live_cells() == {0, 1}
+
+    def test_dead_raw_skip_still_invalid_at_build(self):
+        g = Genotype(2, 1, ((cell(0, 0, AdaptorOp.SKIP_CONNECT), cell(0, 1)),))
+        g.validate()
+        assert g.live_cells() == {1}
+        with pytest.raises(GenotypeError):
+            build_from_genotype(ParamSet(), np.random.default_rng(0), g,
+                                [TaskSpec("depth")], (8, 16), C_AUX)
+
+    @pytest.mark.parametrize("p,t,tasks", [(4, 2, TASKS2), (3, 3, TASKS3)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pruned_forward_matches_full_evaluation(self, p, t, tasks, dtype):
+        rng = np.random.default_rng(p * 10 + t)
+        checked = with_dead = 0
+        while checked < 20:
+            g = random_valid_genotype(rng, p, t)
+            try:
+                pruned = run_aux(g, tasks, dtype, GenotypeAuxSet.forward)
+            except GenotypeError:
+                continue
+            full = run_aux(g, tasks, dtype, full_forward)
+            assert pruned[0] == full[0]
+            assert pruned[1].keys() == full[1].keys()
+            for name in full[1]:
+                assert np.array_equal(pruned[1][name], full[1][name]), name
+            live = g.live_cells()
+            dead = [cell_prefix(g, i) for i in range(p * t) if i not in live]
+            for name, values in full[2].items():
+                if any(name.startswith(d) for d in dead):
+                    init = 0.0 if name.endswith(".bn_rm") else 1.0
+                    assert np.all(pruned[2][name] == init), name
+                    assert not np.all(values == init), name
+                else:
+                    assert np.array_equal(pruned[2][name], values), name
+            if dead:
+                with_dead += 1
+                assert pruned[3] < full[3]
+            else:
+                assert pruned[3] == full[3]
+            checked += 1
+        assert with_dead > 0
 
 
 class TestBasicAux:

@@ -1,5 +1,6 @@
 """CLI commands: exit codes, artifacts, and reproducibility."""
 
+import csv
 import hashlib
 import json
 import os
@@ -189,6 +190,18 @@ class TestTrain:
         assert main(["train", "--config", cfg2, "--strategy", "prior-t1",
                      "--init-ckpt", ckpt]) == 0
 
+    def test_divergence_names_path_and_iteration(self, workdir, capsys):
+        cfg = write_cfg(workdir, "diverge", train={"lr0": 1e30})
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", cfg, "--strategy", "joint"]) == 4
+        with open(workdir / "diverge" / "run.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        last = rows[-1]
+        assert last["loss_total"] == "nan" and last["diverged_at"].startswith("encoder.")
+        assert all(r["diverged_at"] == "" for r in rows[:-1])
+        err = capsys.readouterr().err
+        assert f"diverged at {last['diverged_at']} in iteration {last['iter']};" in err
+
     def test_truncated_init_ckpt_is_io_error(self, workdir, capsys):
         bad = workdir / "truncated.ckpt"
         bad.write_bytes(b"CKPT" + bytes(6))  # magic, then 6 of the 12 header bytes
@@ -331,7 +344,10 @@ class TestSearch:
         assert len(lines) == 10
         rec = json.loads(lines[0])
         assert {"candidate_id", "seed", "genotype", "metrics", "reward",
-                "diverged", "wall_ms"} == set(rec)
+                "diverged", "valid", "budget_iters", "wall_ms"} == set(rec)
+        recs = [json.loads(line) for line in lines]
+        assert any(r["valid"] for r in recs)
+        assert all(r["budget_iters"] == (4 if r["valid"] else 0) for r in recs)
         assert (out / "opstats.csv").exists()
         best = json.loads(open(out / "best.genotype.json").read())
         assert best["op_vocab_version"] == 1
