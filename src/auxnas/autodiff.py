@@ -810,14 +810,22 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     return _apply([x], ov, lambda needs: vjp)
 
 
+# Elements per bincount in grid_sample_bilinear's backward. Its index,
+# float64 weights and their float32 source take 20 bytes an element, so a
+# block's temporaries stay near 5 MB.
+_BINCOUNT_BLOCK = 1 << 18
+
+
 def grid_sample_bilinear(x: Tensor, points: Tensor) -> Tensor:
     """Bilinear reads of x:(N,C,H,W) at points:(N,M,2) in (row, col) pixel
     coordinates. Out-of-bounds points clamp to the border (saturating the
     coordinate gradient there). Output is (N,C,M).
 
     The forward builds one (4, N, M) index of the four corner pixels and
-    reads each corner as one row of a channels-last (N*H*W, C) copy of x.
-    The backward folds each corner back with one bincount over that index.
+    reads the corners one at a time, each as rows of a channels-last
+    (N*H*W, C) copy of x. The backward keeps the two (N, C, M) corner
+    differences the point gradient needs instead of the four corners, and
+    folds dx back with one bincount per corner and block of channels.
     """
     xv, pv = x.values, points.values
     if xv.ndim != 4 or pv.ndim != 3 or pv.shape[-1] != 2:
@@ -838,26 +846,36 @@ def grid_sample_bilinear(x: Tensor, points: Tensor) -> Tensor:
     # corner pixels within their sample, in (y0x0, y0x1, y1x0, y1x1) order
     pix = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
     rows = xv.transpose(0, 2, 3, 1).reshape(n * h * w, c)
-    v = np.take(rows, pix + np.arange(0, n * h * w, h * w)[:, None], axis=0)
-    v00, v01, v10, v11 = v.transpose(0, 1, 3, 2).copy()
+    first_row = np.arange(0, n * h * w, h * w)[:, None]
+    v00, v01, v10, v11 = (np.take(rows, i + first_row, axis=0).transpose(0, 2, 1).copy()
+                          for i in pix)
     ov = v00 * uy * ux + v01 * uy * wx + v10 * wy * ux + v11 * wy * wx
 
     def vjp_builder(needs):
+        if needs[1]:
+            along_y = (v10 - v00) * ux + (v11 - v01) * wx
+            along_x = (v01 - v00) * uy + (v11 - v10) * wy
+
         def vjp(g):
             dx = dp = None
             if needs[0]:
-                base = np.arange(0, n * c * h * w, h * w).reshape(n, c, 1)
-                acc = np.zeros(n * c * h * w)
+                # whole channels per block: _BINCOUNT_BLOCK elements or one channel
+                cb = max(1, min(c, _BINCOUNT_BLOCK // max(1, pix[0].size)))
+                acc = np.zeros((n, c, h * w))
                 for corner, wgt in zip(pix, (uy * ux, uy * wx, wy * ux, wy * wx)):
-                    acc += np.bincount((corner[:, None, :] + base).ravel(),
-                                       weights=(g * wgt).ravel().astype(np.float64),
-                                       minlength=acc.size)
+                    for c0 in range(0, c, cb):
+                        nb = min(cb, c - c0)
+                        base = np.arange(0, n * nb * h * w, h * w).reshape(n, nb, 1)
+                        acc[:, c0:c0 + nb] += np.bincount(
+                            (corner[:, None, :] + base).ravel(),
+                            weights=(g[:, c0:c0 + nb] * wgt).ravel().astype(np.float64),
+                            minlength=n * nb * h * w).reshape(n, nb, h * w)
                 dx = acc.reshape(n, c, h, w).astype(xv.dtype)
             if needs[1]:
                 inner_y = ((pv[:, :, 0] > 0) & (pv[:, :, 0] < h - 1)).astype(xv.dtype)
                 inner_x = ((pv[:, :, 1] > 0) & (pv[:, :, 1] < w - 1)).astype(xv.dtype)
-                dpy = (g * ((v10 - v00) * ux + (v11 - v01) * wx)).sum(axis=1)
-                dpx = (g * ((v01 - v00) * uy + (v11 - v10) * wy)).sum(axis=1)
+                dpy = (g * along_y).sum(axis=1)
+                dpx = (g * along_x).sum(axis=1)
                 dp = np.stack([dpy * inner_y, dpx * inner_x], axis=-1)
             return (dx, dp)
         return vjp
@@ -930,6 +948,16 @@ class ParamSet:
             if t.grad is None:
                 raise ContractError(f"missing gradient for {p!r}")
             yield p, t
+
+    def freeze(self, prefixes: Iterable[str]) -> None:
+        """Make every entry whose path starts with one of ``prefixes`` not
+        trainable: zero_grad and sgd_step skip it and the tape gives it no
+        gradient."""
+        prefixes = tuple(prefixes)
+        for p, t in self._items.items():
+            if p.startswith(prefixes):
+                self._trainable[p] = False
+                t.requires_grad = False
 
     def tagged(self, *tags: str) -> list[str]:
         want = set(tags)

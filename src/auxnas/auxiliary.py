@@ -191,9 +191,10 @@ class GenotypeAuxSet:
     shared location list (taps then cell outputs) resolves every input.
 
     Every cell is built, draws its parameters and counts for validity, but
-    forward evaluates only the live cells (Genotype.live_cells): a cell no
-    head reads is never evaluated, so its BN running statistics stay at
-    their initial values.
+    forward evaluates only the live cells (Genotype.live_cells). A cell no
+    head reads is never evaluated and its parameters are registered as not
+    trainable, so its weights and BN running statistics keep their initial
+    values.
     """
 
     def __init__(self, genotype: Genotype, tasks: list[TaskSpec], ctx: BuildCtx,
@@ -225,6 +226,9 @@ class GenotypeAuxSet:
             task = tasks[ti]
             self.heads[ti + 1] = TaskHead(ctx, f"aux.t{ti + 1}.head", tag, c_aux,
                                           task.out_channels, task.kind)
+        p = genotype.p
+        ctx.ps.freeze(f"aux.t{i // p + 1}.cell{i % p}." for i in range(len(self.built))
+                      if i not in self.live)
 
     def forward(self, taps: list[Tensor], out_hw: tuple[int, int],
                 mode: str) -> dict[int, Tensor]:

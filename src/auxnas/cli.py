@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .auxiliary import genotype_to_json, save_genotype
@@ -52,12 +53,13 @@ def _threads() -> int:
 
 
 def cmd_gen_data(args) -> int:
+    t0 = time.perf_counter()
     try:
         gen_synthetic(args.out, seed=args.seed, n=args.n, h=args.h, w=args.w, k=args.k,
                       val_n=args.val_n, test_n=args.test_n)
     except ValueError as e:  # gen_synthetic checks its arguments before writing
         raise ConfigError(str(e)) from e
-    print(f"wrote {args.n} samples to {args.out}")
+    print(f"wrote {args.n} samples to {args.out} in {time.perf_counter() - t0:.2f} s")
     return EXIT_OK
 
 

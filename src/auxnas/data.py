@@ -83,27 +83,42 @@ def read_tensor_file(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _pad_edge(a: np.ndarray) -> np.ndarray:
+    """Replicate the border of the last two axes by one pixel."""
+    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+
+
 def box_smooth3(depth: np.ndarray) -> np.ndarray:
-    """3x3 box filter with replicated borders."""
-    p = np.pad(depth, 1, mode="edge")
+    """3x3 box filter with replicated borders over the last two axes."""
+    h, w = depth.shape[-2:]
+    p = _pad_edge(depth)
     acc = np.zeros_like(depth, dtype=np.float64)
     for dy in range(3):
         for dx in range(3):
-            acc += p[dy:dy + depth.shape[0], dx:dx + depth.shape[1]]
-    return (acc / 9.0).astype(depth.dtype)
+            acc += p[..., dy:dy + h, dx:dx + w]
+    acc /= 9.0
+    return acc.astype(depth.dtype, copy=False)
 
 
 def derive_normals(depth: np.ndarray) -> np.ndarray:
-    """Surface normals (nx, ny, nz) ~ (-dd/dx, -dd/dy, 1), unit length.
+    """Surface normals (nx, ny, nz) ~ (-dd/dx, -dd/dy, 1), unit length, for
+    (..., H, W) depth; the components form axis -3 of the result.
 
     Central differences in per-pixel units with replicated borders.
     """
-    d = depth.astype(np.float64)
-    p = np.pad(d, 1, mode="edge")
-    ddx = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
-    ddy = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
-    n = np.stack([-ddx, -ddy, np.ones_like(d)])
-    n /= np.sqrt((n * n).sum(axis=0, keepdims=True))
+    # built in place, with the rounding of stacking (-ddx, -ddy, 1) and
+    # summing their squares in that order
+    p = _pad_edge(depth.astype(np.float64, copy=False))
+    n = np.empty(depth.shape[:-2] + (3,) + depth.shape[-2:])
+    nx, ny = n[..., 0, :, :], n[..., 1, :, :]
+    np.subtract(p[..., 1:-1, 2:], p[..., 1:-1, :-2], out=nx)
+    np.subtract(p[..., 2:, 1:-1], p[..., :-2, 1:-1], out=ny)
+    n[..., :2, :, :] /= -2.0
+    n[..., 2, :, :] = 1.0
+    norm = nx * nx
+    norm += ny * ny
+    norm += 1.0
+    n /= np.sqrt(norm, out=norm)[..., None, :, :]
     return n.astype(np.float32)
 
 
@@ -127,22 +142,26 @@ def _check_scene_args(h: int, w: int, k: int) -> None:
         raise ValueError(f"k must be in 2..{len(_CLASS_PALETTE) + 1}, got {k}")
 
 
-def generate_sample(seed: int, index: int, h: int, w: int, k: int) -> dict:
-    """One synthetic scene; deterministic in (seed, index).
+# Scenes finished together. A chunk's float64 buffers add to the peak RSS
+# of a set-up: at 32x32, 16 scenes raised it by 0.8 MB over one scene at a
+# time and 8 scenes did not, at about the same speed.
+_CHUNK = 8
 
-    Tasks correlate through shared structure: each class has a base color,
-    shading encodes depth, and normals derive from the depth field.
-    """
-    _check_scene_args(h, w, k)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+
+def _draw_scene(rng: np.random.Generator, k: int, ys: np.ndarray, xs: np.ndarray,
+                depth: np.ndarray, seg: np.ndarray, albedo: np.ndarray,
+                noise: np.ndarray) -> None:
+    """Stage one: every random draw of one scene, in a fixed order (depth
+    plane, background albedo, then each shape and its painting, then the
+    image noise), written into the given (h, w) and (3, h, w) rows. The
+    depth is not yet smoothed."""
+    h, w = seg.shape
     d0 = rng.uniform(2.5, 3.5)
     gx, gy = rng.uniform(-0.045, 0.045, 2)
-    plane = d0 + gx * (xx - w / 2) + gy * (yy - h / 2)
-    depth = plane.copy()
-    seg = np.zeros((h, w), dtype=np.int32)
-    albedo = np.empty((3, h, w), dtype=np.float64)
-    albedo[:] = rng.uniform(0.45, 0.62, 3)[:, None, None]  # grayish background
+    plane = (d0 + gx * (xs - w / 2))[None, :] + (gy * (ys - h / 2))[:, None]
+    depth[...] = plane
+    seg[...] = 0
+    albedo[...] = rng.uniform(0.45, 0.62, 3)[:, None, None]  # grayish background
     for _ in range(int(rng.integers(1, 5))):
         cls = int(rng.integers(1, k))
         cy = rng.uniform(0.2, 0.8) * h
@@ -150,25 +169,62 @@ def generate_sample(seed: int, index: int, h: int, w: int, k: int) -> dict:
         if rng.random() < 0.5:
             sy = rng.uniform(0.14, 0.32) * h
             sx = rng.uniform(0.14, 0.32) * w
-            mask = (np.abs(yy - cy) <= sy) & (np.abs(xx - cx) <= sx)
+            mask = (np.abs(ys - cy) <= sy)[:, None] & (np.abs(xs - cx) <= sx)
         else:
             r = rng.uniform(0.14, 0.32) * min(h, w)
-            mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+            mask = ((ys - cy) ** 2)[:, None] + (xs - cx) ** 2 <= r * r
         offset = rng.uniform(0.35, 1.1)
-        depth[mask] = plane[mask] - offset
-        seg[mask] = cls
+        np.copyto(depth, plane - offset, where=mask)
+        np.copyto(seg, cls, where=mask)
         color = np.clip(_CLASS_PALETTE[cls - 1] + rng.uniform(-0.08, 0.08, 3), 0.05, 0.95)
-        albedo[:, mask] = color[:, None]
-    depth = np.maximum(box_smooth3(depth), 0.2)
-    nrm = derive_normals(depth)
-    shade = 2.3 / (depth + 1.0)
-    img = albedo * shade[None] + rng.normal(0.0, 0.01, (3, h, w))
-    return {
-        "img": np.clip(img, 0.0, 1.0).astype(np.float32),
-        "seg": seg,
-        "dep": depth.astype(np.float32),
-        "nrm": nrm,
-    }
+        np.copyto(albedo, color[:, None, None], where=mask)
+    noise[...] = rng.normal(0.0, 0.01, noise.shape)
+
+
+def _finish_scenes(depth: np.ndarray, albedo: np.ndarray, noise: np.ndarray,
+                   out: dict) -> None:
+    """Stage two, for a stack of m drawn scenes: smooth and clamp the depth,
+    derive normals, shade the albedo and add the noise, then clip and cast
+    into ``out``'s (m, ...) rows. ``depth`` and ``albedo`` are overwritten."""
+    depth = np.maximum(box_smooth3(depth), 0.2, out=depth)
+    out["nrm"][...] = derive_normals(depth)
+    out["dep"][...] = depth
+    shade = np.add(depth, 1.0, out=depth)
+    img = np.multiply(albedo, np.divide(2.3, shade, out=shade)[:, None], out=albedo)
+    img += noise
+    out["img"][...] = np.clip(img, 0.0, 1.0, out=img)
+
+
+def _render_scenes(seed: int, start: int, n: int, h: int, w: int, k: int) -> dict:
+    """Scenes start..start+n-1 as stacked arrays (the dataset file layout).
+    Scene i draws from its own SeedSequence([seed, i]) and is finished in
+    chunks of _CHUNK, so it does not depend on n, start or the chunking."""
+    out = {m: np.empty(shape, dtype) for m, (shape, dtype) in _stacked_layout(n, h, w).items()}
+    ys = np.arange(h, dtype=np.float64)
+    xs = np.arange(w, dtype=np.float64)
+    c = min(n, _CHUNK)
+    depth = np.empty((c, h, w))
+    albedo = np.empty((c, 3, h, w))
+    noise = np.empty((c, 3, h, w))
+    for lo in range(0, n, c):
+        m = min(c, n - lo)
+        for j in range(m):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, start + lo + j]))
+            _draw_scene(rng, k, ys, xs, depth[j], out["seg"][lo + j], albedo[j], noise[j])
+        _finish_scenes(depth[:m], albedo[:m], noise[:m],
+                       {name: arr[lo:lo + m] for name, arr in out.items()})
+    return out
+
+
+def generate_sample(seed: int, index: int, h: int, w: int, k: int) -> dict:
+    """One synthetic scene; deterministic in (seed, index), and equal to
+    scene ``index`` of ``gen_synthetic(seed=seed, ...)``.
+
+    Tasks correlate through shared structure: each class has a base color,
+    shading encodes depth, and normals derive from the depth field.
+    """
+    _check_scene_args(h, w, k)
+    return {m: arr[0] for m, arr in _render_scenes(seed, index, 1, h, w, k).items()}
 
 
 def _split_indices(n: int, val_n: int | None, test_n: int | None) -> dict:
@@ -210,10 +266,7 @@ def gen_synthetic(out_dir: str, seed: int, n: int, h: int = 32, w: int = 32, k: 
         raise ValueError(f"n must be >= 1, got {n}")
     _check_scene_args(h, w, k)
     splits = _split_indices(n, val_n, test_n)
-    arrays = {m: np.empty(shape, dtype) for m, (shape, dtype) in _stacked_layout(n, h, w).items()}
-    for i in range(n):
-        for m, v in generate_sample(seed, i, h, w, k).items():
-            arrays[m][i] = v
+    arrays = _render_scenes(seed, 0, n, h, w, k)
     os.makedirs(out_dir, exist_ok=True)
     for m, arr in arrays.items():
         write_tensor_file(os.path.join(out_dir, f"{m}.tnsr"), arr)

@@ -23,6 +23,7 @@ from auxnas.auxiliary import (
 from auxnas.layers import AdaptorOp, AggOp, BuildCtx, GenotypeError
 from auxnas.model import TaskSpec, build_model, load_checkpoint, save_checkpoint
 from auxnas.auxiliary import BasicAuxModule
+from auxnas.train import sgd_step
 from test_controller import random_valid_genotype
 
 TASKS2 = [TaskSpec("seg", 5), TaskSpec("depth")]
@@ -151,21 +152,32 @@ def full_forward(aux, taps, out_hw, mode):
             for t, head in aux.heads.items()}
 
 
+class UnfrozenParamSet(ParamSet):
+    """Reference registry in which dead cells stay trainable, as they were
+    before GenotypeAuxSet froze them."""
+
+    def freeze(self, prefixes):
+        pass
+
+
 TAP_SHAPES = ((8, 8, 8), (16, 4, 4), (24, 4, 4), (32, 2, 2))
 TASKS3 = [TaskSpec("seg", 5), TaskSpec("depth"), TaskSpec("normal")]
+BN_BUFFERS = (".bn_rm", ".bn_rv")
 
 
-def run_aux(g, tasks, dtype, forward, seed=0):
-    """One train-mode forward and backward of a genotype's aux set on fixed
-    random taps; returns the loss, every grad, every BN buffer, the op count."""
+def run_aux(g, tasks, dtype, forward, params, seed=0):
+    """One train-mode forward, backward and SGD step of a genotype's aux set
+    on fixed random taps. Returns the loss, every grad, every BN buffer,
+    every parameter's values before and after the step, and the op count."""
     taps_spec = TAP_SHAPES[:g.p]
-    ps = ParamSet()
-    aux = build_from_genotype(ps, np.random.default_rng(seed), g, tasks,
+    aux = build_from_genotype(params, np.random.default_rng(seed), g, tasks,
                               tuple(c for c, _, _ in taps_spec), C_AUX, dtype=dtype)
+    weights = [p for p in params.paths() if not p.endswith(BN_BUFFERS)]
+    init = {p: params[p].values.copy() for p in weights}
     rng = np.random.default_rng(seed + 1)
     taps = [ad.Tensor(rng.standard_normal((2, c, h, w)).astype(dtype), requires_grad=True)
             for c, h, w in taps_spec]
-    ps.zero_grad()
+    params.zero_grad()
     with Tape() as tape:
         preds = forward(aux, taps, (8, 8), "train")
         loss = None
@@ -174,10 +186,12 @@ def run_aux(g, tasks, dtype, forward, seed=0):
             loss = term if loss is None else ad.add(loss, term)
         tape.backward(loss)
         n_ops = len(tape._ops)
-    grads = {p: ps[p].grad for p in ps.paths() if ps.trainable(p)}
+    grads = {p: params[p].grad.copy() for p in params.paths() if params.trainable(p)}
     grads.update({f"tap{i}": t.grad for i, t in enumerate(taps)})
-    buffers = {p: ps[p].values for p in ps.paths() if not ps.trainable(p)}
-    return loss.values, grads, buffers, n_ops
+    buffers = {p: params[p].values.copy() for p in params.paths() if p.endswith(BN_BUFFERS)}
+    sgd_step(params, 0.1)
+    return {"loss": loss.values, "grads": grads, "buffers": buffers, "init": init,
+            "stepped": {p: params[p].values for p in weights}, "ops": n_ops}
 
 
 def cell_prefix(g, i):
@@ -211,33 +225,50 @@ class TestLiveCells:
     @pytest.mark.parametrize("p,t,tasks", [(4, 2, TASKS2), (3, 3, TASKS3)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pruned_forward_matches_full_evaluation(self, p, t, tasks, dtype):
+        """Skipping and freezing dead cells changes no loss, live gradient or
+        live parameter after an SGD step. Dead cells keep their initial
+        parameters and BN buffers, where the full reference moves them."""
         rng = np.random.default_rng(p * 10 + t)
         checked = with_dead = 0
         while checked < 20:
             g = random_valid_genotype(rng, p, t)
             try:
-                pruned = run_aux(g, tasks, dtype, GenotypeAuxSet.forward)
+                pruned = run_aux(g, tasks, dtype, GenotypeAuxSet.forward, ParamSet())
             except GenotypeError:
                 continue
-            full = run_aux(g, tasks, dtype, full_forward)
-            assert pruned[0] == full[0]
-            assert pruned[1].keys() == full[1].keys()
-            for name in full[1]:
-                assert np.array_equal(pruned[1][name], full[1][name]), name
+            full = run_aux(g, tasks, dtype, full_forward, UnfrozenParamSet())
+            assert pruned["loss"] == full["loss"]
             live = g.live_cells()
-            dead = [cell_prefix(g, i) for i in range(p * t) if i not in live]
-            for name, values in full[2].items():
-                if any(name.startswith(d) for d in dead):
-                    init = 0.0 if name.endswith(".bn_rm") else 1.0
-                    assert np.all(pruned[2][name] == init), name
-                    assert not np.all(values == init), name
+            dead = tuple(cell_prefix(g, i) for i in range(p * t) if i not in live)
+            assert pruned["grads"].keys() == {
+                k for k in full["grads"] if not k.startswith(dead)}
+            for name, values in full["grads"].items():
+                if name.startswith(dead):
+                    assert not values.any(), name
                 else:
-                    assert np.array_equal(pruned[2][name], values), name
+                    assert np.array_equal(pruned["grads"][name], values), name
+            for name, values in full["buffers"].items():
+                kept = pruned["buffers"][name]
+                if name.startswith(dead):
+                    assert np.all(kept == (0.0 if name.endswith(".bn_rm") else 1.0)), name
+                    assert not np.all(values == kept), name
+                else:
+                    assert np.array_equal(kept, values), name
+            moved = False
+            for name, values in full["stepped"].items():
+                init = full["init"][name]
+                assert np.array_equal(pruned["init"][name], init), name
+                if name.startswith(dead):
+                    assert np.array_equal(pruned["stepped"][name], init), name
+                    moved = moved or not np.array_equal(values, init)
+                else:
+                    assert np.array_equal(pruned["stepped"][name], values), name
             if dead:
                 with_dead += 1
-                assert pruned[3] < full[3]
+                assert moved
+                assert pruned["ops"] < full["ops"]
             else:
-                assert pruned[3] == full[3]
+                assert pruned["ops"] == full["ops"]
             checked += 1
         assert with_dead > 0
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -136,6 +137,13 @@ class TestGenData:
         assert main(["gen-data", "--seed", "7", "--n", "4", "--out", b,
                      "--h", "8", "--w", "8"]) == 0
         assert dir_digest(a) == dir_digest(b)
+
+    def test_reports_count_destination_and_time(self, tmp_path, capsys):
+        out = str(tmp_path / "d")
+        assert main(["gen-data", "--seed", "2", "--n", "3", "--out", out,
+                     "--h", "8", "--w", "8"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert re.fullmatch(rf"wrote 3 samples to {re.escape(out)} in \d+\.\d\d s", line), line
 
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as e:

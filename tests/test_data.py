@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from auxnas.data import (
+    _CHUNK,
+    _CLASS_PALETTE,
     FormatError,
     IGNORE_LABEL,
     SyntheticDataset,
@@ -39,6 +41,63 @@ def dir_digest(root):
         with open(os.path.join(root, name), "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()
+
+
+def reference_sample(seed, index, h, w, k):
+    """The per-scene generator that the chunked one replaced, kept as an
+    oracle: every scene must come out byte for byte the same."""
+    def box_smooth3_2d(depth):
+        p = np.pad(depth, 1, mode="edge")
+        acc = np.zeros_like(depth, dtype=np.float64)
+        for dy in range(3):
+            for dx in range(3):
+                acc += p[dy:dy + depth.shape[0], dx:dx + depth.shape[1]]
+        return (acc / 9.0).astype(depth.dtype)
+
+    def derive_normals_2d(depth):
+        d = depth.astype(np.float64)
+        p = np.pad(d, 1, mode="edge")
+        ddx = (p[1:-1, 2:] - p[1:-1, :-2]) / 2.0
+        ddy = (p[2:, 1:-1] - p[:-2, 1:-1]) / 2.0
+        n = np.stack([-ddx, -ddy, np.ones_like(d)])
+        n /= np.sqrt((n * n).sum(axis=0, keepdims=True))
+        return n.astype(np.float32)
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    d0 = rng.uniform(2.5, 3.5)
+    gx, gy = rng.uniform(-0.045, 0.045, 2)
+    plane = d0 + gx * (xx - w / 2) + gy * (yy - h / 2)
+    depth = plane.copy()
+    seg = np.zeros((h, w), dtype=np.int32)
+    albedo = np.empty((3, h, w), dtype=np.float64)
+    albedo[:] = rng.uniform(0.45, 0.62, 3)[:, None, None]
+    for _ in range(int(rng.integers(1, 5))):
+        cls = int(rng.integers(1, k))
+        cy = rng.uniform(0.2, 0.8) * h
+        cx = rng.uniform(0.2, 0.8) * w
+        if rng.random() < 0.5:
+            sy = rng.uniform(0.14, 0.32) * h
+            sx = rng.uniform(0.14, 0.32) * w
+            mask = (np.abs(yy - cy) <= sy) & (np.abs(xx - cx) <= sx)
+        else:
+            r = rng.uniform(0.14, 0.32) * min(h, w)
+            mask = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+        offset = rng.uniform(0.35, 1.1)
+        depth[mask] = plane[mask] - offset
+        seg[mask] = cls
+        color = np.clip(_CLASS_PALETTE[cls - 1] + rng.uniform(-0.08, 0.08, 3), 0.05, 0.95)
+        albedo[:, mask] = color[:, None]
+    depth = np.maximum(box_smooth3_2d(depth), 0.2)
+    nrm = derive_normals_2d(depth)
+    shade = 2.3 / (depth + 1.0)
+    img = albedo * shade[None] + rng.normal(0.0, 0.01, (3, h, w))
+    return {
+        "img": np.clip(img, 0.0, 1.0).astype(np.float32),
+        "seg": seg,
+        "dep": depth.astype(np.float32),
+        "nrm": nrm,
+    }
 
 
 class TestTensorFile:
@@ -122,6 +181,56 @@ class TestDeriveNormals:
         d = box_smooth3(np.random.default_rng(2).random((10, 10)) + 1.0)
         n = derive_normals(d)
         assert np.allclose(np.sqrt((n ** 2).sum(axis=0)), 1.0, atol=1e-6)
+
+
+class TestStackedGeometry:
+    """The geometry helpers act on the last two axes: a stack gives, slice
+    for slice, the same bits as one map at a time."""
+
+    @pytest.mark.parametrize("shape", [(5, 7, 9), (2, 3, 1, 1), (4, 3, 40)])
+    def test_box_smooth3_stack_equals_slices(self, shape):
+        d = np.random.default_rng(3).random(shape) * 3 + 0.5
+        stacked = box_smooth3(d)
+        for idx in np.ndindex(shape[:-2]):
+            assert stacked[idx].tobytes() == box_smooth3(d[idx]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 7, 9), (2, 3, 1, 1), (4, 3, 40)])
+    def test_derive_normals_stack_equals_slices(self, shape):
+        d = box_smooth3(np.random.default_rng(4).random(shape) * 3 + 0.5)
+        stacked = derive_normals(d)
+        assert stacked.shape == shape[:-2] + (3,) + shape[-2:]
+        for idx in np.ndindex(shape[:-2]):
+            assert stacked[idx].tobytes() == derive_normals(d[idx]).tobytes()
+
+
+class TestChunkedGenerator:
+    @pytest.mark.parametrize("seed,n,h,w,k", [
+        (4, 1, 12, 10, 6),
+        (1, _CHUNK, 3, 40, 2),
+        (9, 2 * _CHUNK + 5, 12, 10, 8),
+        (0, _CHUNK + 1, 1, 1, 2),
+        (13, 7, 3, 40, 8),
+        (2, 3 * _CHUNK - 1, 32, 32, 5),
+    ])
+    def test_dataset_equals_per_scene_oracle(self, tmp_path, seed, n, h, w, k):
+        gen_synthetic(str(tmp_path / "d"), seed=seed, n=n, h=h, w=w, k=k, val_n=0, test_n=0)
+        ds = SyntheticDataset(str(tmp_path / "d"))
+        for i in range(n):
+            want = reference_sample(seed, i, h, w, k)
+            for m, arr in want.items():
+                got = ds.arrays[m][i]
+                assert got.dtype == arr.dtype and got.shape == arr.shape, (i, m)
+                assert got.tobytes() == arr.tobytes(), (i, m)
+
+    @pytest.mark.parametrize("seed,index,h,w,k", [
+        (5, 3, 32, 32, 5), (0, 0, 1, 1, 8), (7, 40, 3, 40, 2), (4, 6, 12, 10, 6)])
+    def test_generate_sample_equals_oracle(self, seed, index, h, w, k):
+        want = reference_sample(seed, index, h, w, k)
+        got = generate_sample(seed, index, h, w, k)
+        assert set(got) == set(want)
+        for m in want:
+            assert got[m].dtype == want[m].dtype and got[m].shape == want[m].shape
+            assert got[m].tobytes() == want[m].tobytes(), m
 
 
 class TestGeneration:

@@ -396,12 +396,27 @@ class TestParamSet:
         assert np.array_equal(t.grad, np.zeros(3))
         assert ps["state"].grad is None
 
+    def test_freeze_by_prefix(self, rng):
+        ps = ParamSet()
+        ps.add("a.cell0.w", rng.random(3), ad.tag_aux(1))
+        ps.add("a.cell1.w", rng.random(3), ad.tag_aux(1))
+        ps.add("a.cell10.w", rng.random(3), ad.tag_aux(1))
+        ps.freeze(["a.cell1."])
+        assert [ps.trainable(p) for p in ps.paths()] == [True, False, True]
+        assert not ps["a.cell1.w"].requires_grad
+        ps.zero_grad()
+        assert ps["a.cell1.w"].grad is None
+        assert [p for p, _ in ps.trainable_items()] == ["a.cell0.w", "a.cell10.w"]
+        ps.freeze([])
+        assert ps.trainable("a.cell0.w")
+
 
 # ---------------------------------------------------------------------------
 # Reference kernels: the gather / scatter algorithms that the dense kernels
 # replaced, kept as oracles. conv2d's dx and pad2d_replicate's dx must match
 # them bit for bit; the resize kernels reorder floating-point sums, so they
-# must agree to rounding.
+# must agree to rounding. Grouped and depthwise convs are held to a long
+# double sum instead (exact_conv2d).
 # ---------------------------------------------------------------------------
 
 
@@ -425,6 +440,16 @@ def ref_conv2d(xv, wv, g, stride, dilation, groups, pad):
                       minlength=n * span)
     dxp = dxp.reshape(n, c, hp, wp).astype(xv.dtype)
     return y, dxp[:, :, pad:pad + h, pad:pad + ww], dw
+
+
+def exact_conv2d(xv, wv, g, stride, dilation, groups, pad):
+    """y and dw of ref_conv2d summed in long double, then rounded once to the
+    input dtype. The reference for kernels that sum in another order than
+    the oracle: it is closer to the exact sum than either of them."""
+    ld = np.longdouble
+    y, _, dw = ref_conv2d(xv.astype(ld), wv.astype(ld), g.astype(ld),
+                          stride, dilation, groups, pad)
+    return y.astype(xv.dtype), dw.astype(xv.dtype)
 
 
 def ref_pad2d_replicate(xv, g, p):
@@ -542,10 +567,11 @@ class TestConvReference:
         assert dx.dtype == dtype and np.array_equal(dx, dx_ref)
         if groups == 1:
             assert np.array_equal(y, y_ref) and np.array_equal(dw, dw_ref)
-        else:  # depthwise matmuls may round differently by an ulp
+        else:  # grouped matmuls may round differently from the oracle's
+            y_exact, dw_exact = exact_conv2d(xv, wv, g, stride, dilation, groups, pad)
             tol = 4 * np.finfo(dtype).eps
-            close_to(y, y_ref, tol)
-            close_to(dw, dw_ref, tol)
+            close_to(y, y_exact, tol)
+            close_to(dw, dw_exact, tol)
 
 
 class TestDepthwiseReference:
@@ -563,14 +589,15 @@ class TestDepthwiseReference:
         wv = rng.standard_normal((5, 1, 3, 3)).astype(dtype)
         ho, wo = (ad.conv_out_size(s, 3, 1, dilation, pad) for s in size)
         g = rng.standard_normal((3, 5, ho, wo)).astype(dtype)
-        y_ref, dx_ref, dw_ref = ref_conv2d(xv, wv, g, 1, dilation, 5, pad)
+        _, dx_ref, _ = ref_conv2d(xv, wv, g, 1, dilation, 5, pad)
         y, (dx, dw) = taped_grads(
             lambda x, w: ad.conv2d(x, w, dilation=dilation, groups=5, pad=pad),
             [parameter(xv), parameter(wv)], g)
         assert dx.dtype == dtype and np.array_equal(dx, dx_ref)
+        y_exact, dw_exact = exact_conv2d(xv, wv, g, 1, dilation, 5, pad)
         tol = 4 * np.finfo(dtype).eps
-        close_to(y, y_ref, tol)
-        close_to(dw, dw_ref, tol)
+        close_to(y, y_exact, tol)
+        close_to(dw, dw_exact, tol)
 
 
 class TestGridSampleReference:
