@@ -2,13 +2,19 @@
 
 Activations use NCHW layout. Ops executed while a Tape is active (as a
 context manager on the current thread) are recorded in forward order;
-``Tape.backward`` replays them in reverse exactly once, accumulating into
-the ``.grad`` buffers of leaf tensors. With no active tape the same ops
-run as plain numpy forwards.
+``Tape.backward`` replays them in reverse and consumes the tape: each
+record and the state its vjp saved are dropped as soon as that vjp has
+run, and a second backward on the same tape raises ``ContractError``.
+The tape holds no tensors. A recorded op's output carries a node (tape
+token, op index), and a record names its inputs as a leaf tensor, a
+producer index or nothing, so an activation that no vjp saved is freed as
+soon as the forward drops it. With no active tape the same ops run as
+plain numpy forwards.
 
-Leaf gradients accumulate across backward calls; ``ParamSet.zero_grad``
-resets them. A tape and its tensors belong to one logical execution
-context and must not be shared between threads.
+Leaf gradients accumulate across backward calls, and so across tapes;
+``ParamSet.zero_grad`` resets them. A tensor recorded on another tape is a
+constant to this one. A tape and its tensors belong to one logical
+execution context and must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -53,14 +59,17 @@ class Tensor:
     Values are immutable after creation by an op; only ``grad`` mutates
     (and ``values`` of explicitly designated state buffers, e.g. batch
     norm running statistics, which are never recorded on a tape).
+    ``node`` is (tape token, op index) when a tape recorded the op that
+    made this tensor, else None.
     """
 
-    __slots__ = ("values", "grad", "requires_grad")
+    __slots__ = ("values", "grad", "requires_grad", "node")
 
     def __init__(self, values: np.ndarray, requires_grad: bool = False):
         self.values = values
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.node: tuple[object, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,15 +113,16 @@ def active_tape() -> "Tape | None":
 class Tape:
     """Ordered record of primitive ops for one forward pass.
 
-    Each entry keeps the input tensors, the output tensor, and a closure
-    holding the saved intermediates for the backward pass. Recording
-    order is topological by construction; backward visits entries once,
-    in reverse.
+    Each entry keeps the op's inputs, each as a leaf tensor, the index of
+    the entry that produced it, or None for a constant, and a closure
+    holding the saved intermediates for the backward pass. Recording order
+    is topological by construction; backward pops the entries in reverse.
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._live: set[int] = set()
+        self._token = object()
+        self._ops: list[tuple[tuple[Tensor | int | None, ...], Callable]] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         if active_tape() is not None:
@@ -125,23 +135,35 @@ class Tape:
         return False
 
     def is_live(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._live
+        return t.requires_grad or (t.node is not None and t.node[0] is self._token)
+
+    def _ref(self, t: Tensor) -> Tensor | int | None:
+        if t.requires_grad:
+            return t
+        return t.node[1] if self.is_live(t) else None
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-        self._live.add(id(out))
-        self._ops.append((out, inputs, vjp))
+        if self._consumed:
+            raise ContractError("op recorded on a tape that backward has consumed")
+        out.node = (self._token, len(self._ops))
+        self._ops.append((tuple(self._ref(t) for t in inputs), vjp))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad.
+        """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad,
+        consuming the tape.
 
         Leaf grads add (+=) across calls so multiple losses sum their
         gradients; intermediate grads are local to this call.
         """
+        if self._consumed:
+            raise ContractError("backward on a tape that backward has consumed")
         if loss.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-        if not (loss.requires_grad or id(loss) in self._live):
+        if not self.is_live(loss):
             raise ContractError("loss tensor was not recorded on this tape")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=loss.dtype)}
+        self._consumed = True
+        ones = np.ones(loss.shape, dtype=loss.dtype)
+        grads: dict[int, np.ndarray] = {}  # by producing op index
 
         def _leaf_accumulate(t: Tensor, d: np.ndarray) -> None:
             if t.grad is None:
@@ -150,20 +172,25 @@ class Tape:
                 t.grad = t.grad + d
 
         if loss.requires_grad:
-            _leaf_accumulate(loss, grads[id(loss)])
-        for out, inputs, vjp in reversed(self._ops):
-            g = grads.pop(id(out), None)
+            _leaf_accumulate(loss, ones)
+        else:
+            grads[loss.node[1]] = ones
+        ops = self._ops
+        while ops:
+            inputs, vjp = ops.pop()
+            g = grads.pop(len(ops), None)
             if g is None:
                 continue
             dins = vjp(g)
-            for t, d in zip(inputs, dins):
-                if d is None:
+            del vjp, g  # the record's saved state goes before the grads accumulate
+            for ref, d in zip(inputs, dins):
+                if d is None or ref is None:
                     continue
-                if t.requires_grad:
-                    _leaf_accumulate(t, d)
-                elif id(t) in self._live:
-                    prev = grads.get(id(t))
-                    grads[id(t)] = d if prev is None else prev + d
+                if isinstance(ref, Tensor):
+                    _leaf_accumulate(ref, d)
+                else:
+                    prev = grads.get(ref)
+                    grads[ref] = d if prev is None else prev + d
 
 
 def _apply(inputs: Sequence[Tensor], out_values: np.ndarray, vjp_builder: Callable) -> Tensor:
@@ -221,9 +248,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _apply([x], x.values * np.asarray(c, dtype=x.dtype),
-                  lambda needs: lambda g: (g * np.asarray(c, dtype=x.dtype),))
+    c = np.asarray(float(c), dtype=x.dtype)
+    return _apply([x], x.values * c, lambda needs: lambda g: (g * c,))
 
 
 def add_scalar(x: Tensor, c: float) -> Tensor:
@@ -237,8 +263,12 @@ def neg(x: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     xv = x.values
-    return _apply([x], np.maximum(xv, 0),
-                  lambda needs: lambda g: (g * (xv > 0),))
+
+    def vjp_builder(needs):
+        mask = xv > 0  # the backward keeps this, not x
+        return lambda g: (g * mask,)
+
+    return _apply([x], np.maximum(xv, 0), vjp_builder)
 
 
 def abs_(x: Tensor) -> Tensor:
@@ -365,8 +395,8 @@ def concat_channels(xs: Sequence[Tensor]) -> Tensor:
 
     def vjp_builder(needs):
         def vjp(g):
-            return tuple(g[:, bounds[i]:bounds[i + 1]] if needs[i] else None
-                         for i in range(len(xs)))
+            return tuple(g[:, bounds[i]:bounds[i + 1]] if need else None
+                         for i, need in enumerate(needs))
         return vjp
 
     return _apply(list(xs), ov, vjp_builder)
@@ -398,7 +428,7 @@ def reduce(x: Tensor, op: str, axes=None, keepdims: bool = False) -> Tensor:
     ov = x.values.sum(axis=ax, keepdims=keepdims)
     if op == "mean":
         ov = ov / np.asarray(count, dtype=x.dtype)
-    in_shape = x.shape
+    in_shape, dtype = x.shape, x.dtype
     kept = tuple(1 if a in ax else s for a, s in enumerate(in_shape))
 
     def vjp_builder(needs):
@@ -406,7 +436,7 @@ def reduce(x: Tensor, op: str, axes=None, keepdims: bool = False) -> Tensor:
             gg = g if keepdims else g.reshape(kept)
             d = np.broadcast_to(gg, in_shape)
             if op == "mean":
-                d = d / np.asarray(count, dtype=x.dtype)
+                d = d / np.asarray(count, dtype=dtype)
             else:
                 d = d.copy()
             return (d,)
@@ -612,6 +642,7 @@ def _im2col_conv2d(xv, wv, stride, dilation, groups, pad, ho, wo):
     """
     n, c, h, ww = xv.shape
     o, i, k, _ = wv.shape
+    dtype = xv.dtype  # the backward keeps this, and not xv itself
     # pointwise fast path: the column matrix is just a reshape of x
     pointwise = k == 1 and stride == 1 and pad == 0
     if pointwise:
@@ -648,7 +679,7 @@ def _im2col_conv2d(xv, wv, stride, dilation, groups, pad, ho, wo):
                         y0, x0 = ky * dilation, kx * dilation
                         dxp[y0:y0 + ey:stride, x0:x0 + ex:stride] += taps[ky, kx]
                 dx = (dxp[pad:pad + h, pad:pad + ww].transpose(2, 0, 1)
-                      .astype(xv.dtype, order="C").reshape(n, c, h, ww))
+                      .astype(dtype, order="C").reshape(n, c, h, ww))
         return dx, dw
 
     return ov, grads
@@ -801,11 +832,12 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if xv.ndim != 4:
         raise DimensionError("bilinear_resize expects NCHW input")
     h, w = xv.shape[2:]
+    dtype = xv.dtype  # the backward keeps this, and not xv itself
     ov = bilinear_resize_array(xv, out_h, out_w)
 
     def vjp(g):
         ry, rx = _resize_matrix(h, out_h, F64), _resize_matrix(w, out_w, F64)
-        return ((ry.T @ (g.astype(F64, copy=False) @ rx)).astype(xv.dtype, copy=False),)
+        return ((ry.T @ (g.astype(F64, copy=False) @ rx)).astype(dtype, copy=False),)
 
     return _apply([x], ov, lambda needs: vjp)
 
@@ -834,14 +866,15 @@ def grid_sample_bilinear(x: Tensor, points: Tensor) -> Tensor:
         raise DimensionError("grid_sample batch mismatch")
     _same_dtype(x, points)
     n, c, h, w = xv.shape
+    dtype = xv.dtype  # the backward keeps this, and not xv itself
     py = np.clip(pv[:, :, 0], 0.0, h - 1.0)
     px = np.clip(pv[:, :, 1], 0.0, w - 1.0)
     y0 = np.floor(py).astype(np.intp)
     x0 = np.floor(px).astype(np.intp)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    wy = (py - y0).astype(xv.dtype)[:, None, :]
-    wx = (px - x0).astype(xv.dtype)[:, None, :]
+    wy = (py - y0).astype(dtype)[:, None, :]
+    wx = (px - x0).astype(dtype)[:, None, :]
     uy, ux = 1 - wy, 1 - wx
     # corner pixels within their sample, in (y0x0, y0x1, y1x0, y1x1) order
     pix = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1])
@@ -870,10 +903,10 @@ def grid_sample_bilinear(x: Tensor, points: Tensor) -> Tensor:
                             (corner[:, None, :] + base).ravel(),
                             weights=(g[:, c0:c0 + nb] * wgt).ravel().astype(np.float64),
                             minlength=n * nb * h * w).reshape(n, nb, h * w)
-                dx = acc.reshape(n, c, h, w).astype(xv.dtype)
+                dx = acc.reshape(n, c, h, w).astype(dtype)
             if needs[1]:
-                inner_y = ((pv[:, :, 0] > 0) & (pv[:, :, 0] < h - 1)).astype(xv.dtype)
-                inner_x = ((pv[:, :, 1] > 0) & (pv[:, :, 1] < w - 1)).astype(xv.dtype)
+                inner_y = ((pv[:, :, 0] > 0) & (pv[:, :, 0] < h - 1)).astype(dtype)
+                inner_x = ((pv[:, :, 1] > 0) & (pv[:, :, 1] < w - 1)).astype(dtype)
                 dpy = (g * along_y).sum(axis=1)
                 dpx = (g * along_x).sum(axis=1)
                 dp = np.stack([dpy * inner_y, dpx * inner_x], axis=-1)

@@ -8,6 +8,7 @@ function of (seed, index).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -28,13 +29,19 @@ class FormatError(Exception):
     """Malformed tensor file: bad magic, version, dtype, or payload size."""
 
 
+def _write_tensor_header(fh, shape: tuple[int, ...], dtype: np.dtype) -> np.dtype:
+    """Write a TNSR header; returns the dtype its payload must be written in."""
+    code = _CODE_FOR.get(dtype)
+    if code is None:
+        raise FormatError(f"unsupported dtype {dtype}")
+    fh.write(_MAGIC + struct.pack(f"<IBB{len(shape)}I", _VERSION, code, len(shape), *shape))
+    return _DTYPE_CODES[code]
+
+
 def write_tensor_stream(fh, arr: np.ndarray) -> None:
     """Write one TNSR block; the payload goes out from the array's own memory."""
-    code = _CODE_FOR.get(arr.dtype)
-    if code is None:
-        raise FormatError(f"unsupported dtype {arr.dtype}")
-    fh.write(_MAGIC + struct.pack(f"<IBB{arr.ndim}I", _VERSION, code, arr.ndim, *arr.shape))
-    fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).data)
+    dtype = _write_tensor_header(fh, arr.shape, arr.dtype)
+    fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
 
 
 def write_tensor_file(path: str, arr: np.ndarray) -> None:
@@ -195,11 +202,11 @@ def _finish_scenes(depth: np.ndarray, albedo: np.ndarray, noise: np.ndarray,
     out["img"][...] = np.clip(img, 0.0, 1.0, out=img)
 
 
-def _render_scenes(seed: int, start: int, n: int, h: int, w: int, k: int) -> dict:
-    """Scenes start..start+n-1 as stacked arrays (the dataset file layout).
-    Scene i draws from its own SeedSequence([seed, i]) and is finished in
-    chunks of _CHUNK, so it does not depend on n, start or the chunking."""
-    out = {m: np.empty(shape, dtype) for m, (shape, dtype) in _stacked_layout(n, h, w).items()}
+def _render_chunks(seed: int, start: int, n: int, h: int, w: int, k: int):
+    """Scenes start..start+n-1, yielded in chunks of up to _CHUNK as stacked
+    arrays (the dataset file layout). Scene i draws from its own
+    SeedSequence([seed, i]), so it does not depend on n, start or the
+    chunking."""
     ys = np.arange(h, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64)
     c = min(n, _CHUNK)
@@ -208,12 +215,13 @@ def _render_scenes(seed: int, start: int, n: int, h: int, w: int, k: int) -> dic
     noise = np.empty((c, 3, h, w))
     for lo in range(0, n, c):
         m = min(c, n - lo)
+        out = {name: np.empty(shape, dtype)
+               for name, (shape, dtype) in _stacked_layout(m, h, w).items()}
         for j in range(m):
             rng = np.random.default_rng(np.random.SeedSequence([seed, start + lo + j]))
-            _draw_scene(rng, k, ys, xs, depth[j], out["seg"][lo + j], albedo[j], noise[j])
-        _finish_scenes(depth[:m], albedo[:m], noise[:m],
-                       {name: arr[lo:lo + m] for name, arr in out.items()})
-    return out
+            _draw_scene(rng, k, ys, xs, depth[j], out["seg"][j], albedo[j], noise[j])
+        _finish_scenes(depth[:m], albedo[:m], noise[:m], out)
+        yield out
 
 
 def generate_sample(seed: int, index: int, h: int, w: int, k: int) -> dict:
@@ -224,7 +232,7 @@ def generate_sample(seed: int, index: int, h: int, w: int, k: int) -> dict:
     shading encodes depth, and normals derive from the depth field.
     """
     _check_scene_args(h, w, k)
-    return {m: arr[0] for m, arr in _render_scenes(seed, index, 1, h, w, k).items()}
+    return {m: arr[0] for m, arr in next(_render_chunks(seed, index, 1, h, w, k)).items()}
 
 
 def _split_indices(n: int, val_n: int | None, test_n: int | None) -> dict:
@@ -260,16 +268,24 @@ def _stacked_layout(n: int, h: int, w: int) -> dict:
 def gen_synthetic(out_dir: str, seed: int, n: int, h: int = 32, w: int = 32, k: int = 5,
                   val_n: int | None = None, test_n: int | None = None) -> dict:
     """Write a dataset directory: manifest.json plus one stacked tensor file
-    per modality. Every argument is checked before anything is written; a
-    bad argument raises ValueError naming it."""
+    per modality. Each chunk of scenes is appended to the four files as it
+    is finished, so the dataset is never whole in memory. Every argument is
+    checked before anything is written; a bad argument raises ValueError
+    naming it."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_scene_args(h, w, k)
     splits = _split_indices(n, val_n, test_n)
-    arrays = _render_scenes(seed, 0, n, h, w, k)
     os.makedirs(out_dir, exist_ok=True)
-    for m, arr in arrays.items():
-        write_tensor_file(os.path.join(out_dir, f"{m}.tnsr"), arr)
+    with contextlib.ExitStack() as stack:
+        files = {}  # modality -> (file, payload dtype)
+        for m, (shape, dtype) in _stacked_layout(n, h, w).items():
+            fh = stack.enter_context(open(os.path.join(out_dir, f"{m}.tnsr"), "wb"))
+            files[m] = (fh, _write_tensor_header(fh, shape, dtype))
+        for chunk in _render_chunks(seed, 0, n, h, w, k):
+            for m, arr in chunk.items():
+                fh, dtype = files[m]
+                fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
     manifest = {"n": n, "H": h, "W": w, "K": k, "seed": seed, "splits": splits}
     with open(os.path.join(out_dir, "manifest.json"), "w", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)

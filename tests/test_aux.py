@@ -184,8 +184,8 @@ def run_aux(g, tasks, dtype, forward, params, seed=0):
         for t in sorted(preds):
             term = ad.reduce_mean(ad.mul(preds[t], preds[t]))
             loss = term if loss is None else ad.add(loss, term)
+        n_ops = len(tape._ops)  # read before backward, which consumes the tape
         tape.backward(loss)
-        n_ops = len(tape._ops)
     grads = {p: params[p].grad.copy() for p in params.paths() if params.trainable(p)}
     grads.update({f"tap{i}": t.grad for i, t in enumerate(taps)})
     buffers = {p: params[p].values.copy() for p in params.paths() if p.endswith(BN_BUFFERS)}

@@ -406,6 +406,17 @@ class TestCompare:
                      "--seeds", "1,2"]) == 0
         assert digest(workdir / "cmp1" / "table.csv") == digest(workdir / "cmp2" / "table.csv")
 
+    def test_two_threads_match_one(self, workdir, monkeypatch):
+        # cells train concurrently, each on a tape of its own thread
+        def run(threads):
+            monkeypatch.setenv("AUXNAS_THREADS", threads)
+            cfg = write_cfg(workdir, f"cmp_threads{threads}")
+            assert main(["compare", "--config", cfg, "--strategies", "joint,auxi-both,auxi-t2",
+                         "--seeds", "1,2"]) == 0
+            return (workdir / f"cmp_threads{threads}" / "table.csv").read_bytes()
+
+        assert run("1") == run("2")
+
     def test_donor_strategies_auto_build(self, workdir):
         cfg = write_cfg(workdir, "cmp_donor")
         rc = main(["compare", "--config", cfg, "--strategies", "auxi-t2",

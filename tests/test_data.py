@@ -4,6 +4,7 @@ import hashlib
 import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,17 @@ class TestChunkedGenerator:
                 got = ds.arrays[m][i]
                 assert got.dtype == arr.dtype and got.shape == arr.shape, (i, m)
                 assert got.tobytes() == arr.tobytes(), (i, m)
+
+    def test_chunks_are_written_as_they_finish(self, tmp_path):
+        # the peak is a chunk's buffers, not the stacked dataset (8 MB here)
+        tracemalloc.start()
+        try:
+            gen_synthetic(str(tmp_path / "d"), seed=1, n=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = sum(p.stat().st_size for p in (tmp_path / "d").glob("*.tnsr"))
+        assert peak < written / 2
 
     @pytest.mark.parametrize("seed,index,h,w,k", [
         (5, 3, 32, 32, 5), (0, 0, 1, 1, 8), (7, 40, 3, 40, 2), (4, 6, 12, 10, 6)])

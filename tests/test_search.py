@@ -1,5 +1,7 @@
 """Reward shaping, PPO mechanics, candidate evaluation, search accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,20 @@ class TestSearchLoop:
     def test_candidate_seed_stable(self):
         assert candidate_seed(3, 7) == candidate_seed(3, 7)
         assert candidate_seed(3, 7) != candidate_seed(3, 8)
+
+    def test_two_threads_match_one(self, meta_ds):
+        # each thread trains its candidates on a tape of its own
+        def run(threads):
+            policy = ControllerPolicy(4, 2, np.random.default_rng(0))
+            cfg = EvalCfg(dataset=meta_ds, variant="baseline", tasks=TASKS2,
+                          short_iters=4, batch=4)
+            res = search_loop(policy, SearchCfg(candidates=10, batch=5, threads=threads), cfg)
+            return ([repr(dataclasses.replace(r, wall_ms=0)) for r in res.records],
+                    res.opstats, res.best_genotype, res.best_reward)
+
+        one, two = run(1), run(2)
+        assert sum("valid=True" in r for r in one[0]) >= 2
+        assert one == two
 
 
 class TestSkipFrequencyTrend:

@@ -1,5 +1,7 @@
 """Core tensor op contracts: forward examples, FD gradient checks, tape rules."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -341,13 +343,70 @@ class TestBackwardContract:
             a = ad.reduce_sum(ad.mul(x1, x1))
             b = ad.reduce_mean(ad.exp(x1))
             tape.backward(ad.add(a, b))
+        # backward consumes its tape, so each loss gets a tape of its own;
+        # the leaf's gradients sum across the two
         x2 = parameter(base, dtype=np.float64)
         with Tape() as tape:
-            a = ad.reduce_sum(ad.mul(x2, x2))
-            b = ad.reduce_mean(ad.exp(x2))
-            tape.backward(a)
-            tape.backward(b)
+            tape.backward(ad.reduce_sum(ad.mul(x2, x2)))
+        with Tape() as tape:
+            tape.backward(ad.reduce_mean(ad.exp(x2)))
         assert np.abs(x1.grad - x2.grad).max() <= 1e-12
+
+    def test_backward_consumes_tape(self):
+        x = parameter(np.ones(3), dtype=np.float64)
+        saved = np.arange(3.0)
+        only_in_vjp = weakref.ref(saved)
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(x, Tensor(saved)))
+            del saved
+            assert only_in_vjp() is not None  # mul's vjp keeps its other operand
+            tape.backward(loss)
+        assert len(tape._ops) == 0
+        assert only_in_vjp() is None
+        assert np.array_equal(x.grad, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("consumer", [
+        ad.relu,
+        lambda h: ad.bilinear_resize(h, 5, 3),
+        lambda h: ad.conv2d(h, parameter(np.ones((2, 2, 3, 3)), dtype=np.float64), pad=1),
+    ], ids=["relu", "bilinear_resize", "conv2d"])
+    def test_unsaved_intermediate_freed_in_forward(self, rng, consumer):
+        x = p64(rng, 1, 2, 4, 4)
+        with Tape() as tape:
+            h = ad.scale(x, 2.0)
+            h_values = weakref.ref(h.values)
+            y = consumer(h)
+            del h
+            assert h_values() is None  # neither the tape nor y's vjp holds h
+            tape.backward(ad.reduce_sum(ad.mul(y, y)))
+        want = parameter(x.values)
+        with Tape() as tape:
+            y = consumer(ad.scale(want, 2.0))
+            tape.backward(ad.reduce_sum(ad.mul(y, y)))
+        assert np.array_equal(x.grad, want.grad)
+
+    def test_second_backward_rejected(self, rng):
+        x = parameter(rng.random((2, 2)), dtype=np.float64)
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(x, x))
+            tape.backward(loss)
+            with pytest.raises(ContractError):
+                tape.backward(loss)
+            with pytest.raises(ContractError):
+                ad.mul(x, x)  # nothing records on a consumed tape
+        assert np.array_equal(x.grad, 2 * x.values)
+
+    def test_tensor_of_earlier_tape_is_constant(self, rng):
+        x = parameter(rng.random((2, 2)), dtype=np.float64)
+        with Tape():
+            y = ad.mul(x, x)
+        with Tape() as tape:
+            assert not tape.is_live(y)
+            with pytest.raises(ContractError):
+                tape.backward(ad.reduce_sum(y))
+        with Tape() as tape:
+            tape.backward(ad.reduce_sum(ad.mul(y, x)))
+        assert np.array_equal(x.grad, y.values)  # no term through y
 
     def test_non_scalar_loss_rejected(self, rng):
         x = parameter(rng.random((2, 2)), dtype=np.float64)
