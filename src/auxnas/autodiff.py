@@ -169,7 +169,7 @@ class Tape:
             if t.grad is None:
                 t.grad = d.astype(t.dtype, copy=True)
             else:
-                t.grad = t.grad + d
+                t.grad = np.asarray(t.grad + d)  # a 0-d sum is a numpy scalar
 
         if loss.requires_grad:
             _leaf_accumulate(loss, ones)
@@ -734,7 +734,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
 
     Train mode normalizes by batch statistics and updates the running
     buffers in place (exponential moving average, never taped); eval
-    mode normalizes by the running buffers.
+    mode normalizes by the running buffers and has no backward, so it
+    raises ContractError under a tape that would need one.
     """
     xv = x.values
     if xv.ndim != 4:
@@ -757,12 +758,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
         ov = gv * xhat + bv
 
         def vjp_builder(needs):
-            def vjp(g):
-                dx = g * (gv * inv.reshape(1, c, 1, 1)) if needs[0] else None
-                dgamma = (g * xhat).sum(axis=(0, 2, 3)) if needs[1] else None
-                dbeta = g.sum(axis=(0, 2, 3)) if needs[2] else None
-                return (dx, dgamma, dbeta)
-            return vjp
+            raise ContractError("batch_norm has no backward in eval mode")
 
         return _apply([x, gamma, beta], ov, vjp_builder)
 
@@ -940,7 +936,6 @@ class ParamSet:
     def __init__(self):
         self._items: dict[str, Tensor] = {}
         self._tags: dict[str, str] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, path: str, values: np.ndarray, tag: str, trainable: bool = True) -> Tensor:
         if path in self._items:
@@ -948,7 +943,6 @@ class ParamSet:
         t = Tensor(np.asarray(values), requires_grad=trainable)
         self._items[path] = t
         self._tags[path] = tag
-        self._trainable[path] = trainable
         return t
 
     def __getitem__(self, path: str) -> Tensor:
@@ -970,13 +964,13 @@ class ParamSet:
         return self._tags[path]
 
     def trainable(self, path: str) -> bool:
-        return self._trainable[path]
+        return self._items[path].requires_grad
 
     def trainable_items(self):
         """(path, tensor) per trainable entry, in registration order; an
         entry without a gradient raises."""
         for p, t in self._items.items():
-            if not self._trainable[p]:
+            if not t.requires_grad:
                 continue
             if t.grad is None:
                 raise ContractError(f"missing gradient for {p!r}")
@@ -989,7 +983,6 @@ class ParamSet:
         prefixes = tuple(prefixes)
         for p, t in self._items.items():
             if p.startswith(prefixes):
-                self._trainable[p] = False
                 t.requires_grad = False
 
     def tagged(self, *tags: str) -> list[str]:
@@ -997,8 +990,8 @@ class ParamSet:
         return [p for p, t in self._tags.items() if t in want]
 
     def zero_grad(self) -> None:
-        for p, t in self._items.items():
-            if not self._trainable[p]:
+        for t in self._items.values():
+            if not t.requires_grad:
                 continue
             if t.grad is None:
                 t.grad = np.zeros_like(t.values)
@@ -1015,7 +1008,6 @@ class ParamSet:
             if keep(p, self._tags[p]):
                 out._items[p] = t
                 out._tags[p] = self._tags[p]
-                out._trainable[p] = self._trainable[p]
         return out
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -2,8 +2,6 @@
 search, and the strategy-comparison table.
 
 Exit codes: 0 ok, 2 config/usage error, 3 IO error, 4 numeric divergence.
-AUXNAS_THREADS caps candidate/cell evaluation parallelism (default 1); a
-value that is not a whole number >= 1 exits 2.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .auxiliary import genotype_to_json, save_genotype
 from .config import (
@@ -39,17 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
-
-
-def _threads() -> int:
-    raw = os.environ.get("AUXNAS_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"AUXNAS_THREADS must be a whole number >= 1, got {raw!r}")
-    return threads
 
 
 def cmd_gen_data(args) -> int:
@@ -108,9 +94,8 @@ def cmd_search(args) -> int:
     for split in ("meta_train", "meta_val"):
         if not ds.splits.get(split):
             raise ConfigError(f"dataset has no {split} split")
-    threads = _threads()
     write_resolved(cfg, out_dir)
-    search_cfg = search_cfg_from_config(cfg, threads=threads)
+    search_cfg = search_cfg_from_config(cfg)
     eval_cfg = eval_cfg_from_config(cfg, ds)
     policy = ControllerPolicy(P_TAPS, len(cfg["model"]["tasks"]),
                               np.random.default_rng(
@@ -122,7 +107,7 @@ def cmd_search(args) -> int:
             fh.write(json.dumps({
                 "candidate_id": rec.candidate_id,
                 "seed": rec.seed,
-                "genotype": None if rec.genotype is None else genotype_to_json(rec.genotype),
+                "genotype": genotype_to_json(rec.genotype),
                 "metrics": rec.metrics,
                 "reward": rec.reward,
                 "diverged": rec.diverged,
@@ -159,7 +144,6 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least one strategy and one seed")
     tasks = tasks_from_config(cfg, ds)
     resolved = {name: strategy_from_config(cfg, name) for name in strategies}
-    threads = _threads()
     write_resolved(cfg, out_dir)
 
     donors: dict[tuple[int, int], dict] = {}
@@ -190,17 +174,7 @@ def cmd_compare(args) -> int:
                             train_cfg_from_config(cfg, seed=seed), aux_cfg,
                             donor_state=state, out_dir=cell_dir)
 
-    # donors are built serially up front so parallel cells never race on them
-    for name, seed in cells:
-        strategy = resolved[name][0]
-        if strategy.needs_donor:
-            donor_state(strategy, seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    results = [run_cell(c) for c in cells]
 
     metric_cols = _metric_columns(cfg)
     rows = []

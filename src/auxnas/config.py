@@ -34,8 +34,7 @@ DEFAULTS = {
     "train": _defaults(TrainCfg),
     "aux": {**_defaults(AuxCfg, "mode", "c_aux", "allow_own_task"),
             "agg": "sum", "genotype_path": None},
-    "search": {**_defaults(SearchCfg, "candidates", "batch", "seed"),
-               **_defaults(EvalCfg, "short_iters")},
+    "search": {**_defaults(SearchCfg), **_defaults(EvalCfg, "short_iters")},
     "output_dir": "out",
 }
 POSITIVE = ("train.batch", "search.batch")
@@ -138,10 +137,10 @@ def strategy_from_config(cfg: dict, name: str) -> tuple[Strategy, AuxCfg]:
     return strategy, aux_cfg
 
 
-def search_cfg_from_config(cfg: dict, threads: int = 1) -> SearchCfg:
+def search_cfg_from_config(cfg: dict) -> SearchCfg:
     sc = dict(cfg["search"])
     del sc["short_iters"]  # an EvalCfg field
-    return SearchCfg(**sc, threads=threads)
+    return SearchCfg(**sc)
 
 
 def eval_cfg_from_config(cfg: dict, dataset) -> EvalCfg:

@@ -9,7 +9,6 @@ are divided by 180 degrees first. Invalid or diverged candidates score 0.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,7 @@ def compute_reward(metrics: list[tuple[float, str]]) -> tuple[float, bool]:
 class RewardRecord:
     candidate_id: int
     seed: int
-    genotype: Genotype | None
+    genotype: Genotype
     metrics: dict[str, float]
     reward: float
     diverged: bool
@@ -172,7 +171,7 @@ def candidate_seed(search_seed: int, candidate_id: int) -> int:
     return search_seed * 1_000_003 + candidate_id
 
 
-def evaluate_candidate(genotype: Genotype | None, cfg: EvalCfg, seed: int,
+def evaluate_candidate(genotype: Genotype, cfg: EvalCfg, seed: int,
                        candidate_id: int = 0) -> RewardRecord:
     """Train one candidate briefly on meta-train and score the MAIN heads on
     meta-val. Invalid genotypes short-circuit to reward 0 with zero budget.
@@ -185,8 +184,6 @@ def evaluate_candidate(genotype: Genotype | None, cfg: EvalCfg, seed: int,
                             budget_iters=budget,
                             wall_ms=int((time.monotonic() - t0) * 1000), valid=valid)
 
-    if genotype is None:
-        return record({}, 0.0, False, 0, valid=False)
     train_cfg = TrainCfg(iters=cfg.short_iters, lr0=cfg.lr0, batch=cfg.batch,
                          seed=seed, eval_every=0, augment=cfg.augment,
                          probe_layers=())
@@ -221,7 +218,6 @@ class SearchCfg:
     candidates: int = 200
     batch: int = 16
     seed: int = 0
-    threads: int = 1
 
 
 @dataclass
@@ -232,13 +228,11 @@ class SearchResult:
     opstats: list[dict]
 
 
-def operator_frequencies(genotypes: list[Genotype | None]) -> dict[str, float]:
+def operator_frequencies(genotypes: list[Genotype]) -> dict[str, float]:
     """Fractions of each adaptor / aggregator choice across a batch."""
     ad_counts = np.zeros(len(ADAPTOR_OP_NAMES))
     ag_counts = np.zeros(len(AGG_OP_NAMES))
     for g in genotypes:
-        if g is None:
-            continue
         for cell in g.flat_cells():
             ad_counts[cell.op1] += 1
             ad_counts[cell.op2] += 1
@@ -257,9 +251,8 @@ def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalC
                 evaluator=None) -> SearchResult:
     """Sample-evaluate-update until the candidate budget is spent.
 
-    Candidate evaluations are independent (isolated model, tape, and rng
-    stream per candidate) and may run on a thread pool; records are
-    appended in candidate order by the single loop writer.
+    Each PPO batch's candidates are evaluated in order in the calling
+    thread; a candidate gets its own model, tape and rng stream.
     """
     if evaluator is None:
         if eval_cfg is None:
@@ -276,45 +269,25 @@ def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalC
     best: tuple[float, Genotype | None] = (-1.0, None)
     update_idx = 0
     remaining = search_cfg.candidates
-    # threads == 1 evaluates in this thread, not on a one-worker pool. Both give
-    # the same outputs, but the pool raised the search-baseline benchmark's peak
-    # RSS from about 119 MB to over 160 MB, likely because the worker thread
-    # gets its own malloc arena.
-    pool = ThreadPoolExecutor(max_workers=search_cfg.threads) \
-        if search_cfg.threads > 1 else None
-    try:
-        while remaining > 0:
-            n = min(search_cfg.batch, remaining)
-            sample: SampleBatch = policy.sample(rng, n)
-            genotypes: list[Genotype | None] = []
-            for i in range(n):
-                try:
-                    genotypes.append(policy.decode(sample.tokens[i]))
-                except GenotypeError:
-                    genotypes.append(None)
-            ids = [len(records) + i for i in range(n)]
-            if pool is not None:
-                batch_records = list(pool.map(evaluator, genotypes, ids))
-            else:
-                batch_records = [evaluator(g, cid) for g, cid in zip(genotypes, ids)]
-            records.extend(batch_records)
-            for rec, g in zip(batch_records, genotypes):
-                # only candidates that actually built and trained are eligible
-                if g is not None and rec.valid and not rec.diverged \
-                        and rec.reward > best[0]:
-                    best = (rec.reward, g)
-            ppo_batch = [(sample.tokens[i], sample.log_probs[i], batch_records[i].reward)
-                         for i in range(n)]
-            ppo_update(policy, ppo_batch, ppo_state)
-            row = {"update": update_idx, "candidates": n,
-                   "mean_reward": float(np.mean([r.reward for r in batch_records])),
-                   "best_reward": max(best[0], 0.0)}
-            row.update(operator_frequencies(genotypes))
-            opstats.append(row)
-            update_idx += 1
-            remaining -= n
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while remaining > 0:
+        n = min(search_cfg.batch, remaining)
+        sample: SampleBatch = policy.sample(rng, n)
+        genotypes = [policy.decode(tokens) for tokens in sample.tokens]
+        batch_records = [evaluator(g, len(records) + i) for i, g in enumerate(genotypes)]
+        records.extend(batch_records)
+        for rec, g in zip(batch_records, genotypes):
+            # only candidates that actually built and trained are eligible
+            if rec.valid and not rec.diverged and rec.reward > best[0]:
+                best = (rec.reward, g)
+        ppo_batch = [(sample.tokens[i], sample.log_probs[i], batch_records[i].reward)
+                     for i in range(n)]
+        ppo_update(policy, ppo_batch, ppo_state)
+        row = {"update": update_idx, "candidates": n,
+               "mean_reward": float(np.mean([r.reward for r in batch_records])),
+               "best_reward": max(best[0], 0.0)}
+        row.update(operator_frequencies(genotypes))
+        opstats.append(row)
+        update_idx += 1
+        remaining -= n
     return SearchResult(best_genotype=best[1], best_reward=max(best[0], 0.0),
                         records=records, opstats=opstats)

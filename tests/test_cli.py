@@ -21,7 +21,7 @@ from auxnas.config import (
 from auxnas.data import SyntheticDataset, gen_synthetic, generate_sample, write_tensor_file
 from auxnas.model import ConfigError, TaskSpec, build_model, load_checkpoint, save_checkpoint
 from auxnas.search import SearchCfg
-from auxnas.train import AuxCfg, Strategy, TrainCfg, run_strategy
+from auxnas.train import STRATEGY_KINDS, AuxCfg, Strategy, TrainCfg, run_strategy
 
 
 def digest(path):
@@ -117,16 +117,6 @@ class TestConfig:
         cfg = write_cfg(workdir, "bad_value", **over)
         assert main([command[0], "--config", cfg, *command[1:]]) == 2
         assert named in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    @pytest.mark.parametrize("command", [["search"],
-                                         ["compare", "--strategies", "joint", "--seeds", "1"]])
-    def test_bad_thread_count_exits_2(self, workdir, capsys, monkeypatch, command, value):
-        monkeypatch.setenv("AUXNAS_THREADS", value)
-        cfg = write_cfg(workdir, "bad_threads")
-        assert main([command[0], "--config", cfg, *command[1:]]) == 2
-        assert "AUXNAS_THREADS" in capsys.readouterr().err
-        assert not (workdir / "bad_threads" / "config.resolved.json").exists()
 
 
 class TestGenData:
@@ -343,6 +333,41 @@ class TestTrain:
         assert digest(workdir / "repro1" / "eval.csv") == digest(workdir / "repro2" / "eval.csv")
 
 
+class TestEveryStrategy:
+    """Each strategy kind trains a few iterations through the CLI."""
+
+    DONOR_TASK = {"prior": 1, "auxi_single": 2}  # prior-t1 and auxi-t1
+
+    @pytest.fixture(scope="class")
+    def smoke(self, workdir):
+        for t in (1, 2):
+            cfg = write_cfg(workdir, f"smoke_donor_t{t}", train={"iters": 3})
+            assert main(["train", "--config", cfg, "--strategy", f"single-t{t}"]) == 0
+        genotype = workdir / "smoke.genotype.json"
+        genotype.write_text(json.dumps({
+            "P": 4, "T": 2, "op_vocab_version": 1,
+            "cells": [[0, min(p, 3), 1, 1, 0] for _ in range(2) for p in range(4)]}))
+        return genotype
+
+    @pytest.mark.parametrize("kind", sorted(STRATEGY_KINDS))
+    def test_trains_three_iterations(self, workdir, smoke, kind):
+        name = STRATEGY_KINDS[kind]
+        name += "1" if name.endswith("-t") else ""
+        cfg = write_cfg(workdir, f"smoke_{kind}", train={"iters": 3},
+                        aux={"genotype_path": str(smoke)})
+        argv = ["train", "--config", cfg, "--strategy", name]
+        if kind in self.DONOR_TASK:
+            donor = workdir / f"smoke_donor_t{self.DONOR_TASK[kind]}" / "model.ckpt"
+            argv += ["--init-ckpt", str(donor)]
+        assert main(argv) == 0
+        assert len(open(workdir / f"smoke_{kind}" / "run.csv").read().splitlines()) == 1 + 3
+
+    def test_compare_joint_and_kendall(self, workdir):
+        cfg = write_cfg(workdir, "smoke_cmp", train={"iters": 3})
+        assert main(["compare", "--config", cfg, "--strategies", "joint,kendall",
+                     "--seeds", "1"]) == 0
+
+
 class TestSearch:
     def test_search_artifacts(self, workdir):
         cfg = write_cfg(workdir, "search_run")
@@ -405,17 +430,6 @@ class TestCompare:
         assert main(["compare", "--config", cfg2, "--strategies", "joint,single-t1",
                      "--seeds", "1,2"]) == 0
         assert digest(workdir / "cmp1" / "table.csv") == digest(workdir / "cmp2" / "table.csv")
-
-    def test_two_threads_match_one(self, workdir, monkeypatch):
-        # cells train concurrently, each on a tape of its own thread
-        def run(threads):
-            monkeypatch.setenv("AUXNAS_THREADS", threads)
-            cfg = write_cfg(workdir, f"cmp_threads{threads}")
-            assert main(["compare", "--config", cfg, "--strategies", "joint,auxi-both,auxi-t2",
-                         "--seeds", "1,2"]) == 0
-            return (workdir / f"cmp_threads{threads}" / "table.csv").read_bytes()
-
-        assert run("1") == run("2")
 
     def test_donor_strategies_auto_build(self, workdir):
         cfg = write_cfg(workdir, "cmp_donor")

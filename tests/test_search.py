@@ -1,7 +1,5 @@
 """Reward shaping, PPO mechanics, candidate evaluation, search accounting."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -148,11 +146,6 @@ class TestEvaluateCandidate:
         rec = evaluate_candidate(bad, cfg, seed=5)
         assert rec.reward == 0.0 and rec.budget_iters == 0
 
-    def test_none_genotype_short_circuits(self, meta_ds):
-        cfg = EvalCfg(dataset=meta_ds, variant="baseline", tasks=TASKS2)
-        rec = evaluate_candidate(None, cfg, seed=5)
-        assert rec.reward == 0.0 and rec.budget_iters == 0
-
     def test_deterministic_reward(self, meta_ds):
         cfg = EvalCfg(dataset=meta_ds, variant="baseline", tasks=TASKS2,
                       short_iters=8, batch=4)
@@ -167,11 +160,9 @@ class TestEvaluateCandidate:
 class TestSearchLoop:
     def fake_evaluator(self, scores):
         def ev(genotype, cid):
-            reward = 0.0 if genotype is None else scores(genotype, cid)
             return RewardRecord(candidate_id=cid, seed=cid, genotype=genotype,
-                                metrics={}, reward=reward, diverged=False,
-                                budget_iters=0, wall_ms=0,
-                                valid=genotype is not None)
+                                metrics={}, reward=scores(genotype, cid), diverged=False,
+                                budget_iters=0, wall_ms=0)
         return ev
 
     def test_zero_budget(self):
@@ -217,20 +208,6 @@ class TestSearchLoop:
     def test_candidate_seed_stable(self):
         assert candidate_seed(3, 7) == candidate_seed(3, 7)
         assert candidate_seed(3, 7) != candidate_seed(3, 8)
-
-    def test_two_threads_match_one(self, meta_ds):
-        # each thread trains its candidates on a tape of its own
-        def run(threads):
-            policy = ControllerPolicy(4, 2, np.random.default_rng(0))
-            cfg = EvalCfg(dataset=meta_ds, variant="baseline", tasks=TASKS2,
-                          short_iters=4, batch=4)
-            res = search_loop(policy, SearchCfg(candidates=10, batch=5, threads=threads), cfg)
-            return ([repr(dataclasses.replace(r, wall_ms=0)) for r in res.records],
-                    res.opstats, res.best_genotype, res.best_reward)
-
-        one, two = run(1), run(2)
-        assert sum("valid=True" in r for r in one[0]) >= 2
-        assert one == two
 
 
 class TestSkipFrequencyTrend:

@@ -107,6 +107,14 @@ class TestBatchNorm:
         expect = (x - rm.values.reshape(1, 2, 1, 1)) / np.sqrt(rv.values.reshape(1, 2, 1, 1) + 1e-5)
         assert np.allclose(out.values, expect, atol=1e-5)
 
+    def test_eval_mode_under_a_tape_is_a_contract_error(self, rng):
+        x = parameter(rng.standard_normal((2, 3, 4, 4)))
+        rm, rv = self._state(3)
+        with Tape():
+            with pytest.raises(ContractError, match="eval mode"):
+                ad.batch_norm(x, constant(np.ones(3)), constant(np.zeros(3)), rm, rv,
+                              mode="eval")
+
     def test_grad_vs_finite_differences(self, rng):
         x = p64(rng, 3, 2, 4, 4)
         g = parameter(rng.random(2) + 0.5, dtype=np.float64)

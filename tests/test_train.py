@@ -247,6 +247,13 @@ class TestRunStrategy:
         assert abs(row["loss_total"] - (row["loss_t1"] + row["loss_t2"])) < 1e-5
         assert row["kendall_s_t1"] == 0.0
 
+    def test_kendall_trains_three_iterations(self, tiny_ds):
+        # s_t is 0-d: its summed gradient must stay an array that zero_grad clears
+        res = run_strategy(Strategy("kendall"), tiny_ds, "baseline", TASKS2,
+                           tiny_cfg(iters=3), AuxCfg())
+        assert not res.diverged and len(res.records) == 3
+        assert res.records[2]["kendall_s_t1"] != 0.0
+
     def test_ds_scale_is_exactly_point_one(self, tiny_ds):
         res = run_strategy(Strategy("ds", task=1), tiny_ds, "baseline", TASKS2,
                            tiny_cfg(iters=1, augment=False), AuxCfg())
