@@ -90,10 +90,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
 
-def constant(values, dtype=np.float32) -> Tensor:
-    return Tensor(np.asarray(values, dtype=dtype))
-
-
 def parameter(values, dtype=None) -> Tensor:
     arr = np.asarray(values)
     if dtype is not None:
@@ -997,9 +993,6 @@ class ParamSet:
                 t.grad = np.zeros_like(t.values)
             else:
                 t.grad[...] = 0
-
-    def n_values(self, *tags: str) -> int:
-        return sum(self._items[p].size for p in self.tagged(*tags))
 
     def filtered(self, keep) -> "ParamSet":
         """New ParamSet sharing tensors for paths where keep(path, tag) holds."""

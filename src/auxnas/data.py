@@ -44,11 +44,6 @@ def write_tensor_stream(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
 
 
-def write_tensor_file(path: str, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_tensor_stream(fh, arr)
-
-
 def read_exact(fh, size: int, what: str) -> bytes:
     """Read exactly ``size`` bytes; a short read raises FormatError, and so
     does a size past the end of the file, before anything is allocated."""

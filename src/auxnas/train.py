@@ -10,6 +10,7 @@ initial learning rate by 10.
 from __future__ import annotations
 
 import csv
+import ctypes
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -28,6 +29,26 @@ DS_SCALE = 0.1
 PRIOR_LR_DIVISOR = 10.0
 DEFAULT_PROBE_LAYERS = ("encoder.stage1.w", "encoder.stage2.w", "encoder.stage3.w")
 LABEL_KEY = {"seg": "seg", "depth": "dep", "normal": "nrm"}
+
+
+def keep_freed_heap() -> None:
+    """Let the next iteration reuse the memory this one frees.
+
+    Backward frees the forward's arrays newest first, so the free space
+    gathers at the top of glibc's heap. With glibc's default, adaptive
+    thresholds, whether that top is trimmed (and faulted back in by the next
+    forward) depends on the process's memory layout, down to the length of
+    its paths. Fixed thresholds serve every array under 32 MiB from the
+    heap and trim only a free top over 64 MiB. A no-op where the C library
+    has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 class DataError(Exception):
@@ -372,6 +393,7 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
     Prior/AuxiSingle require donor_state (a checkpoint state dict); they
     load its shared parameters and divide the learning rate by 10.
     """
+    keep_freed_heap()
     ss = np.random.SeedSequence([train_cfg.seed, 0xA01])
     rng_init, rng_aux, rng_data, rng_augment = [
         np.random.default_rng(c) for c in ss.spawn(4)]

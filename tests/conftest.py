@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -14,3 +15,14 @@ def std_ds(tmp_path_factory):
     root = tmp_path_factory.mktemp("stdset") / "std"
     gen_synthetic(str(root), seed=100, n=1344, h=32, w=32, k=5, val_n=256, test_n=64)
     return SyntheticDataset(str(root))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running, and stop the child."""
+    yield
+    alive = multiprocessing.active_children()
+    for child in alive:
+        child.terminate()
+        child.join(10)
+    assert not alive, f"child processes still running after the test: {alive}"

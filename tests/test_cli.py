@@ -18,10 +18,12 @@ from auxnas.config import (
     search_cfg_from_config,
     train_cfg_from_config,
 )
-from auxnas.data import SyntheticDataset, gen_synthetic, generate_sample, write_tensor_file
+from auxnas.data import SyntheticDataset, gen_synthetic, generate_sample
 from auxnas.model import ConfigError, TaskSpec, build_model, load_checkpoint, save_checkpoint
 from auxnas.search import SearchCfg
 from auxnas.train import STRATEGY_KINDS, AuxCfg, Strategy, TrainCfg, run_strategy
+
+from _helpers import write_tensor_file
 
 
 def digest(path):
@@ -385,6 +387,15 @@ class TestSearch:
         best = json.loads(open(out / "best.genotype.json").read())
         assert best["op_vocab_version"] == 1
         assert len(best["cells"]) == 4 * 2
+
+    def test_opstats_invalid_matches_search_log(self, workdir):
+        out = workdir / "search_run"
+        valid = [json.loads(line)["valid"] for line in open(out / "search.log")]
+        with open(out / "opstats.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["candidates"]) for r in rows] == [5, 5]
+        assert [int(r["invalid"]) for r in rows] == [valid[:5].count(False),
+                                                     valid[5:].count(False)]
 
     def test_zero_candidates(self, workdir):
         cfg = write_cfg(workdir, "search_zero", search={"candidates": 0})

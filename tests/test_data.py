@@ -24,9 +24,10 @@ from auxnas.data import (
     generate_sample,
     read_tensor_file,
     rescale_sample,
-    write_tensor_file,
     write_tensor_stream,
 )
+
+from _helpers import write_tensor_file
 
 
 def tnsr_bytes(arr):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from auxnas import autodiff as ad
-from auxnas.autodiff import ParamSet, constant, parameter
+from auxnas.autodiff import ParamSet, parameter
 from auxnas.layers import (
     AdaptorOp,
     AggOp,
@@ -19,6 +19,7 @@ from auxnas.layers import (
 )
 
 from _gradcheck import check_grads
+from _helpers import constant
 
 C_AUX = 6
 

@@ -16,6 +16,8 @@ from auxnas.model import (
     save_checkpoint,
 )
 
+from _helpers import n_values
+
 TASKS2 = [TaskSpec("seg", 5), TaskSpec("depth")]
 TASKS3 = [TaskSpec("seg", 5), TaskSpec("depth"), TaskSpec("normal")]
 
@@ -48,14 +50,14 @@ class TestBuild:
         n_shared = sum(t == "shared" for t in tags)
         n_task = sum(t.startswith("task:") for t in tags)
         assert n_shared + n_task == len(ps)
-        assert ps.n_values("shared") + sum(
-            ps.n_values(ad.tag_task(t)) for t in (1, 2, 3)
+        assert n_values(ps, "shared") + sum(
+            n_values(ps, ad.tag_task(t)) for t in (1, 2, 3)
         ) == sum(ps[p].size for p in ps.paths())
 
     def test_context_has_more_shared_params(self):
         base = build_model("baseline", TASKS2, rng())
         ctx = build_model("context", TASKS2, rng())
-        assert ctx.params.n_values("shared") > base.params.n_values("shared")
+        assert n_values(ctx.params, "shared") > n_values(base.params, "shared")
 
     def test_ushape_forward_and_input_check(self):
         m = build_model("ushape", TASKS2, rng(), input_hw=(32, 32))

@@ -8,7 +8,7 @@ from auxnas.auxiliary import AuxCell, Genotype
 from auxnas.controller import ControllerPolicy
 from auxnas.data import SyntheticDataset, gen_synthetic
 from auxnas.layers import AdaptorOp
-from auxnas.model import TaskSpec
+from auxnas.model import ConfigError, TaskSpec
 from auxnas.search import (
     EvalCfg,
     PpoCfg,
@@ -208,6 +208,27 @@ class TestSearchLoop:
     def test_candidate_seed_stable(self):
         assert candidate_seed(3, 7) == candidate_seed(3, 7)
         assert candidate_seed(3, 7) != candidate_seed(3, 8)
+
+
+class TestWorkerPool:
+    def search(self, meta_ds, workers, variant="baseline"):
+        policy = ControllerPolicy(4, 2, np.random.default_rng(3))
+        cfg = EvalCfg(dataset=meta_ds, variant=variant, tasks=TASKS2, short_iters=4, batch=4)
+        return search_loop(policy, SearchCfg(candidates=12, batch=6, seed=2), cfg,
+                           workers=workers)
+
+    def test_byte_identical_at_one_and_two_workers(self, meta_ds):
+        def outputs(res):
+            recs = [(r.candidate_id, r.seed, r.genotype, r.metrics, r.reward, r.diverged,
+                     r.valid, r.budget_iters) for r in res.records]
+            return repr((recs, res.opstats, res.best_genotype, res.best_reward))
+        one = self.search(meta_ds, workers=1)
+        assert any(r.valid for r in one.records)
+        assert outputs(one) == outputs(self.search(meta_ds, workers=2))
+
+    def test_worker_exception_reaches_the_caller(self, meta_ds):
+        with pytest.raises(ConfigError, match="unknown variant"):
+            self.search(meta_ds, workers=2, variant="no-such-variant")
 
 
 class TestSkipFrequencyTrend:

@@ -13,12 +13,12 @@ from auxnas.autodiff import (
     ParamSet,
     Tape,
     Tensor,
-    constant,
     parameter,
 )
 from auxnas.layers import deform_conv3x3
 
 from _gradcheck import check_grads
+from _helpers import constant
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Losses, schedule, optimizer, objective assembly, and the run loop."""
 
+import ctypes
+import resource
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from auxnas.train import (
     STRATEGY_KINDS,
     Strategy,
     TrainCfg,
+    keep_freed_heap,
     loss_depth,
     loss_normal,
     loss_segmentation,
@@ -284,6 +288,20 @@ class TestRunStrategy:
                            tiny_cfg(iters=5), AuxCfg(), out_dir=str(tmp_path / "r"))
         reloaded = evaluate_checkpoint(res.ckpt_path, tiny_ds, "val", 4)
         assert reloaded == res.final_metrics
+
+
+@pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="the C library has no mallopt")
+def test_freed_array_memory_is_reused():
+    # an 8 MiB array freed and allocated again is served from the pages the
+    # first one faulted in, not from a fresh mapping
+    keep_freed_heap()
+    n = 1 << 21
+    np.ones(n, np.float32)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    np.ones(n, np.float32)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < (n * 4 // 4096) // 10
 
 
 class TestUnitCoefficients:
