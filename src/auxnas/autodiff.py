@@ -83,9 +83,6 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def item(self) -> float:
-        return float(self.values)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -1002,9 +999,6 @@ class ParamSet:
                 out._items[p] = t
                 out._tags[p] = self._tags[p]
         return out
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {p: t.values for p, t in self._items.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray], paths: Iterable[str] | None = None) -> None:
         for p in (paths if paths is not None else self._items):

@@ -8,8 +8,6 @@ are divided by 180 degrees first. Invalid or diverged candidates score 0.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import os
 import time
 from dataclasses import dataclass, field
@@ -23,7 +21,8 @@ from .controller import ControllerPolicy, SampleBatch
 from .layers import ADAPTOR_OP_NAMES, AGG_OP_NAMES, GenotypeError
 from .metrics import METRIC_REWARD_KIND, PRIMARY_METRIC
 from .model import TaskSpec
-from .train import AuxCfg, Strategy, TrainCfg, run_strategy
+from .train import (AuxCfg, Strategy, TrainCfg, blas_thread_setter, die_with_parent,
+                    run_strategy)
 
 
 def score_metric(value: float, kind: str) -> float:
@@ -250,19 +249,6 @@ def operator_frequencies(genotypes: list[Genotype]) -> dict[str, float]:
     return out
 
 
-def _blas_thread_setter():
-    """The thread-count setter of numpy's bundled OpenBLAS, or None."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    for lib in libs:
-        fn = getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
-        if fn is not None:
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = None
-            return fn
-    return None
-
-
 # (EvalCfg, search seed) of a forked worker; set by its initializer, unset in
 # the parent.
 _worker_args: tuple[EvalCfg, int] | None = None
@@ -270,7 +256,8 @@ _worker_args: tuple[EvalCfg, int] | None = None
 
 def _init_worker(eval_cfg: EvalCfg, search_seed: int) -> None:
     global _worker_args
-    _blas_thread_setter()(1)
+    die_with_parent()
+    blas_thread_setter()(1)
     _worker_args = (eval_cfg, search_seed)
 
 
@@ -290,8 +277,10 @@ def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalC
     of receiving a pickled copy. Records come back in candidate order, and a
     candidate gets its own model, tape and rng stream, so the results do
     not depend on the worker count. An exception raised in a worker is
-    raised here, and no worker outlives the call. The controller, PPO and
-    the best-candidate tracking run in the calling process.
+    raised here, and no worker outlives the call, nor a calling process that
+    is killed. A worker builds its training batches inline (see
+    ``run_strategy``). The controller, PPO and the best-candidate tracking
+    run in the calling process.
 
     A custom ``evaluator(genotype, candidate_id)``, one worker, or an
     OpenBLAS without a thread-count setter evaluates the candidates in order
@@ -301,7 +290,7 @@ def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalC
         raise ContractError("search_loop needs an eval_cfg or an evaluator")
     if workers is None:
         workers = min(len(os.sched_getaffinity(0)), search_cfg.batch)
-    if evaluator is not None or workers < 2 or _blas_thread_setter() is None:
+    if evaluator is not None or workers < 2 or blas_thread_setter() is None:
         if evaluator is None:
             def evaluator(genotype, cid):
                 return evaluate_candidate(genotype, eval_cfg,

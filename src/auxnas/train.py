@@ -9,9 +9,13 @@ initial learning rate by 10.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
+import fcntl
+import glob
 import os
+import signal
 import zlib
 from dataclasses import dataclass, field
 
@@ -49,6 +53,37 @@ def keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+def blas_thread_setter():
+    """The thread-count setter of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for lib in libs:
+        fn = getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = None
+            return fn
+    return None
+
+
+def die_with_parent() -> None:
+    """Have Linux SIGKILL this forked ``multiprocessing`` child when its parent dies.
+
+    A parent that died during the fork has already handed the child to
+    another process, so the child then exits at once. Without ``prctl``
+    only that check is made.
+    """
+    import multiprocessing
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != multiprocessing.parent_process().pid:
+        os._exit(1)
 
 
 class DataError(Exception):
@@ -384,6 +419,81 @@ def evaluate_checkpoint(ckpt_path: str, ds: SyntheticDataset, split: str = "val"
     return evaluate_split(setup, ds, split, batch_size)
 
 
+def _batches(ds: SyntheticDataset, train_idx, train_cfg: TrainCfg,
+             rng_data: np.random.Generator, rng_augment: np.random.Generator):
+    """The run's training batches in order: draw, read, augment, collate."""
+    replace = len(train_idx) < train_cfg.batch
+    for _ in range(train_cfg.iters):
+        picks = rng_data.choice(len(train_idx), size=train_cfg.batch, replace=replace)
+        samples = [ds.sample(train_idx[int(i)]) for i in picks]
+        if train_cfg.augment:
+            samples = [augment(s, rng_augment, (ds.h, ds.w)) for s in samples]
+        yield collate(samples)
+
+
+def _produce(writer, reader, batches, cpu: int) -> None:
+    """Producer process: send each batch, or the exception that stopped them."""
+    reader.close()
+    die_with_parent()
+    os.sched_setaffinity(0, {cpu})
+    setter = blas_thread_setter()
+    if setter is not None:
+        setter(1)
+    try:
+        for batch in batches:
+            writer.send(batch)
+    except Exception as e:
+        writer.send(e)
+
+
+def _received(reader, n: int):
+    for _ in range(n):
+        msg = reader.recv()
+        if isinstance(msg, Exception):
+            raise msg
+        yield msg
+
+
+@contextlib.contextmanager
+def _batch_source(batches, n: int):
+    """The ``n`` batches of ``batches``, built ahead in a forked producer
+    process when a CPU is spare.
+
+    With two or more CPUs in the calling thread's mask, and outside any
+    ``multiprocessing`` child (a search worker already fills a CPU), the
+    producer owns the generator and its rngs, runs pinned to the mask's last
+    CPU and sends the batches through a one-way pipe; the calling thread is
+    pinned to the other CPUs, because an unpinned producer was woken on the
+    trainer's CPU. On exit the producer is stopped and the thread's mask
+    restored. Otherwise ``batches`` is iterated inline.
+    """
+    mask = os.sched_getaffinity(0)
+    import multiprocessing
+
+    if len(mask) < 2 or multiprocessing.parent_process() is not None:
+        yield batches
+        return
+    cpus = sorted(mask)
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    # room for a whole batch, so that the producer writes one ahead instead of
+    # waiting on each 64 KiB read; 1 MiB is Linux's default limit
+    with contextlib.suppress(OSError):
+        fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+    producer = ctx.Process(target=_produce, args=(writer, reader, batches, cpus[-1]),
+                           daemon=True)
+    producer.start()
+    writer.close()
+    try:
+        os.sched_setaffinity(0, cpus[:-1])
+        yield _received(reader, n)
+    finally:
+        producer.terminate()
+        producer.join()
+        reader.close()
+        os.sched_setaffinity(0, mask)
+
+
 def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
                  cfg_tasks: list[TaskSpec], train_cfg: TrainCfg, aux_cfg: AuxCfg,
                  donor_state: dict | None = None, out_dir: str | None = None,
@@ -391,7 +501,9 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
     """Execute one full training schedule and (optionally) write artifacts.
 
     Prior/AuxiSingle require donor_state (a checkpoint state dict); they
-    load its shared parameters and divide the learning rate by 10.
+    load its shared parameters and divide the learning rate by 10. The
+    training batches are built ahead in a forked producer process when a CPU
+    is spare (``_batch_source``); the outputs are the same either way.
     """
     keep_freed_heap()
     ss = np.random.SeedSequence([train_cfg.seed, 0xA01])
@@ -429,37 +541,32 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
         return metrics
 
     final_metrics = None
-    for it in range(train_cfg.iters):
-        replace = len(train_idx) < train_cfg.batch
-        picks = rng_data.choice(len(train_idx), size=train_cfg.batch, replace=replace)
-        samples = [ds.sample(train_idx[int(i)]) for i in picks]
-        if train_cfg.augment:
-            samples = [augment(s, rng_augment, (ds.h, ds.w)) for s in samples]
-        batch = collate(samples)
+    with _batch_source(_batches(ds, train_idx, train_cfg, rng_data, rng_augment),
+                       train_cfg.iters) as batches:
+        for it, batch in enumerate(batches):
+            model.params.zero_grad()
+            try:
+                with Tape() as tape:
+                    total, parts = joint_objective(setup, batch, "train")
+                    if not np.isfinite(total.values):
+                        raise ad.NumericError("loss")
+                    tape.backward(total)
+            except ad.NumericError as e:
+                diverged = True
+                records.append({"iter": it, "lr": poly_lr(it, train_cfg.iters, lr0),
+                                "loss_total": float("nan"), "diverged_at": e.path})
+                break
 
-        model.params.zero_grad()
-        try:
-            with Tape() as tape:
-                total, parts = joint_objective(setup, batch, "train")
-                if not np.isfinite(total.values):
-                    raise ad.NumericError("loss")
-                tape.backward(total)
-        except ad.NumericError as e:
-            diverged = True
-            records.append({"iter": it, "lr": poly_lr(it, train_cfg.iters, lr0),
-                            "loss_total": float("nan"), "diverged_at": e.path})
-            break
+            lr = poly_lr(it, train_cfg.iters, lr0)
+            row = {"iter": it, "lr": lr, "loss_total": parts["loss_total"]}
+            row.update({k: v for k, v in parts.items() if k != "loss_total"})
+            row.update(grad_probe(model.params, probe_layers, probe_idx))
+            records.append(row)
+            sgd_step(model.params, lr, state=sgd_state)
 
-        lr = poly_lr(it, train_cfg.iters, lr0)
-        row = {"iter": it, "lr": lr, "loss_total": parts["loss_total"]}
-        row.update({k: v for k, v in parts.items() if k != "loss_total"})
-        row.update(grad_probe(model.params, probe_layers, probe_idx))
-        records.append(row)
-        sgd_step(model.params, lr, state=sgd_state)
-
-        if train_cfg.eval_every and (it + 1) % train_cfg.eval_every == 0 \
-                and (it + 1) < train_cfg.iters:
-            run_eval(it + 1)
+            if train_cfg.eval_every and (it + 1) % train_cfg.eval_every == 0 \
+                    and (it + 1) < train_cfg.iters:
+                run_eval(it + 1)
 
     ckpt_path = None
     if not diverged:

@@ -11,9 +11,19 @@ def constant(values, dtype=np.float32) -> Tensor:
     return Tensor(np.asarray(values, dtype=dtype))
 
 
+def item(t: Tensor) -> float:
+    """The value of a one-element tensor."""
+    return float(t.values)
+
+
 def n_values(params, *tags: str) -> int:
     """Number of scalars in the parameters of ``params`` that carry one of ``tags``."""
     return sum(params[p].size for p in params.tagged(*tags))
+
+
+def state_dict(params) -> dict[str, np.ndarray]:
+    """Path -> values of every parameter in ``params``."""
+    return {p: t.values for p, t in params.items()}
 
 
 def write_tensor_file(path: str, arr: np.ndarray) -> None:

@@ -39,6 +39,7 @@ import os
 
 sys.path.insert(0, os.path.dirname(__file__))
 from _gradcheck import check_grads  # noqa: E402
+from _helpers import state_dict  # noqa: E402
 from test_controller import random_valid_genotype  # noqa: E402
 from test_metrics import (  # noqa: E402
     oracle_angle,
@@ -196,7 +197,7 @@ class TestCriterion2AuxRemoval:
             preds, taps = model.forward(x, "eval")
             aux.forward(taps, (8, 8), "eval")
             plain = build_model("baseline", TASKS2, np.random.default_rng(90000 + trial))
-            plain.params.load_state_dict(strip_aux(model.params).state_dict())
+            plain.params.load_state_dict(state_dict(strip_aux(model.params)))
             stripped_preds, _ = plain.forward(x, "eval")
             for t in (1, 2):
                 assert np.array_equal(preds[t].values, stripped_preds[t].values)

@@ -5,11 +5,16 @@ import hashlib
 import json
 import os
 import re
+import signal
 import struct
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import auxnas
 from auxnas.cli import main
 from auxnas.config import (
     DEFAULTS,
@@ -448,3 +453,61 @@ class TestCompare:
                    "--seeds", "3"])
         assert rc == 0
         assert (workdir / "cmp_donor" / "donors" / "single-t1-s3" / "model.ckpt").exists()
+
+
+def child_pids(pid):
+    """The children of every thread of process ``pid``."""
+    pids = []
+    for tid in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{tid}/children") as fh:
+                pids += [int(c) for c in fh.read().split()]
+        except FileNotFoundError:  # the thread ended
+            pass
+    return pids
+
+
+def is_running(pid):
+    """True while ``pid`` exists and is neither a zombie nor dead."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2
+                    or not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="needs two CPUs and /proc/<pid>/task/<tid>/children")
+class TestKilled:
+    @pytest.mark.parametrize("command,n_children", [
+        (["search"], 2),                         # the pool's workers
+        (["train", "--strategy", "joint"], 1),   # the batch producer
+    ])
+    def test_sigkill_leaves_no_child_running(self, workdir, command, n_children):
+        cfg = write_cfg(workdir, f"killed_{command[0]}", train={"iters": 100000},
+                        search={"candidates": 1000, "short_iters": 200})
+        src = os.path.dirname(os.path.dirname(auxnas.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "auxnas.cli", *command, "--config", cfg],
+                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        kids = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(kids) < n_children:
+                assert proc.poll() is None and time.monotonic() < deadline, "no children"
+                time.sleep(0.05)
+                kids = child_pids(proc.pid)
+            time.sleep(0.5)  # the children are at work
+        finally:
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 5
+        while any(map(is_running, kids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [k for k in kids if is_running(k)]
+        for k in left:
+            os.kill(k, signal.SIGKILL)
+        assert not left, f"children of the killed run still running after 5 s: {left}"

@@ -1,12 +1,15 @@
 """Losses, schedule, optimizer, objective assembly, and the run loop."""
 
 import ctypes
+import hashlib
+import os
 import resource
 
 import numpy as np
 import pytest
 
 from auxnas import autodiff as ad
+from auxnas import train
 from auxnas.autodiff import ContractError, ParamSet, Tensor, parameter
 from auxnas.data import SyntheticDataset, gen_synthetic
 from auxnas.model import ConfigError, TaskSpec, load_checkpoint
@@ -27,6 +30,7 @@ from auxnas.train import (
 )
 
 from _gradcheck import check_grads
+from _helpers import item
 
 TASKS2 = [TaskSpec("seg", 5), TaskSpec("depth")]
 
@@ -49,12 +53,12 @@ class TestLosses:
         logits = Tensor(np.zeros((2, 5, 3, 3), dtype=np.float64))
         labels = np.random.default_rng(0).integers(0, 5, size=(2, 3, 3))
         loss = loss_segmentation(logits, labels)
-        assert abs(loss.item() - np.log(5)) < 1e-12
+        assert abs(item(loss) - np.log(5)) < 1e-12
 
     def test_all_ignored_gives_zero(self):
         logits = Tensor(np.random.default_rng(1).random((1, 5, 2, 2)))
         labels = np.full((1, 2, 2), 255)
-        assert loss_segmentation(logits, labels).item() == 0.0
+        assert item(loss_segmentation(logits, labels)) == 0.0
 
     def test_label_out_of_range_raises(self):
         logits = Tensor(np.zeros((1, 3, 2, 2)))
@@ -71,7 +75,7 @@ class TestLosses:
     def test_depth_loss(self):
         gt = np.random.default_rng(3).uniform(1, 3, (1, 1, 2, 2))
         pred = Tensor(gt.copy())
-        assert loss_depth(pred, gt).item() == 0.0
+        assert item(loss_depth(pred, gt)) == 0.0
         with pytest.raises(DataError):
             loss_depth(pred, -gt)
         rng = np.random.default_rng(4)
@@ -82,8 +86,8 @@ class TestLosses:
     def test_normal_loss(self):
         n = np.zeros((1, 3, 2, 2))
         n[:, 2] = 1.0
-        assert loss_normal(Tensor(n), n).item() == 0.0
-        assert abs(loss_normal(Tensor(-n), n).item() - 2.0) < 1e-12
+        assert item(loss_normal(Tensor(n), n)) == 0.0
+        assert abs(item(loss_normal(Tensor(-n), n)) - 2.0) < 1e-12
         rng = np.random.default_rng(5)
         raw = parameter(rng.standard_normal((1, 3, 3, 3)), dtype=np.float64)
         gt = raw.values / np.sqrt((raw.values ** 2).sum(axis=1, keepdims=True))
@@ -288,6 +292,73 @@ class TestRunStrategy:
                            tiny_cfg(iters=5), AuxCfg(), out_dir=str(tmp_path / "r"))
         reloaded = evaluate_checkpoint(res.ckpt_path, tiny_ds, "val", 4)
         assert reloaded == res.final_metrics
+
+
+TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="the batch producer needs two CPUs")
+
+
+class AugmentFailed(Exception):
+    pass
+
+
+def spy_affinity(monkeypatch):
+    """Record the masks this process sets on its threads."""
+    set_masks = []
+    real = os.sched_setaffinity
+
+    def spy(pid, mask):
+        set_masks.append(sorted(mask))
+        real(pid, mask)
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    return set_masks
+
+
+@TWO_CPUS
+class TestBatchProducer:
+    @pytest.mark.parametrize("kind,variant,n_tasks", [("auxi_both", "ushape", 2),
+                                                      ("joint", "context", 3)])
+    def test_producer_and_inline_write_the_same_bytes(self, tiny_ds, tmp_path, monkeypatch,
+                                                      kind, variant, n_tasks):
+        tasks = (TASKS2 + [TaskSpec("normal")])[:n_tasks]
+
+        def run(name):
+            out = tmp_path / name
+            run_strategy(Strategy(kind), tiny_ds, variant, tasks,
+                         tiny_cfg(iters=6, eval_every=3), AuxCfg(), out_dir=str(out))
+            return {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                    for f in ("run.csv", "eval.csv", "model.ckpt")}
+
+        cpus = sorted(os.sched_getaffinity(0))
+        set_masks = spy_affinity(monkeypatch)
+        produced = run("producer")
+        # the training thread was pinned to all but the last CPU, then restored
+        assert set_masks == [cpus[:-1], cpus]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpus[0]})
+        assert run("inline") == produced
+        assert set_masks == [cpus[:-1], cpus]
+
+    @pytest.mark.parametrize("case", ["normal", "diverged", "producer_raises"])
+    def test_runs_leave_nothing_behind(self, tiny_ds, monkeypatch, case):
+        # the autouse fixture fails the test if a child process is left
+        before = os.sched_getaffinity(0)
+        if case == "producer_raises":
+            def failing_augment(*args, **kwargs):
+                raise AugmentFailed(sorted(os.sched_getaffinity(0)))
+            monkeypatch.setattr(train, "augment", failing_augment)
+            with pytest.raises(AugmentFailed) as e:
+                run_strategy(Strategy("joint"), tiny_ds, "baseline", TASKS2, tiny_cfg(),
+                             AuxCfg())
+            # the producer ran on the last CPU alone
+            assert e.value.args[0] == sorted(before)[-1:]
+        else:
+            lr0 = 1e30 if case == "diverged" else 0.01
+            with np.errstate(all="ignore"):
+                res = run_strategy(Strategy("joint"), tiny_ds, "baseline", TASKS2,
+                                   tiny_cfg(lr0=lr0), AuxCfg())
+            assert res.diverged == (case == "diverged")
+            assert (len(res.records) < 12) == res.diverged
+        assert os.sched_getaffinity(0) == before
 
 
 @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
