@@ -28,7 +28,7 @@ from .layers import GenotypeError
 from .metrics import METRICS_FOR_KIND
 from .model import ConfigError, P_TAPS, load_checkpoint
 from .search import search_loop
-from .train import DataError, Strategy, _write_csv, run_strategy
+from .train import DataError, Strategy, _write_csv, job_pool, run_strategy
 
 import numpy as np
 
@@ -146,47 +146,39 @@ def cmd_compare(args) -> int:
     resolved = {name: strategy_from_config(cfg, name) for name in strategies}
     write_resolved(cfg, out_dir)
 
-    donors: dict[tuple[int, int], dict] = {}
-
-    def donor_state(strategy, seed):
-        dt = _donor_task_for(strategy, len(tasks))
-        key = (dt, seed)
-        if key not in donors:
-            donor_dir = os.path.join(out_dir, "donors", f"single-t{dt}-s{seed}")
-            donor, donor_aux = strategy_from_config(cfg, f"single-t{dt}")
-            res = run_strategy(donor, ds, cfg["model"]["variant"], tasks,
-                               train_cfg_from_config(cfg, seed=seed), donor_aux,
-                               out_dir=donor_dir)
-            if res.diverged:
-                raise DataError(f"donor single-t{dt} seed {seed} diverged")
-            _, state = load_checkpoint(res.ckpt_path)
-            donors[key] = state
-        return donors[key]
-
     cells = [(name, seed) for name in strategies for seed in seeds]
+    donor_of = {(name, seed): (f"single-t{_donor_task_for(resolved[name][0], len(tasks))}", seed)
+                for name, seed in cells if resolved[name][0].needs_donor}
+    donor_dirs = {d: os.path.join(out_dir, "donors", f"{d[0]}-s{d[1]}") for d in donor_of.values()}
+    resolved.update({name: strategy_from_config(cfg, name) for name, _ in donor_dirs})
 
-    def run_cell(cell):
-        name, seed = cell
+    def train_one(name, seed, run_dir, donor_dir=None):
+        """One run into ``run_dir``; only picklable fields go back."""
         strategy, aux_cfg = resolved[name]
-        state = donor_state(strategy, seed) if strategy.needs_donor else None
-        cell_dir = os.path.join(out_dir, "cells", f"{name}-s{seed}")
-        return run_strategy(strategy, ds, cfg["model"]["variant"], tasks,
-                            train_cfg_from_config(cfg, seed=seed), aux_cfg,
-                            donor_state=state, out_dir=cell_dir)
+        state = None if donor_dir is None else load_checkpoint(
+            os.path.join(donor_dir, "model.ckpt"))[1]
+        res = run_strategy(strategy, ds, cfg["model"]["variant"], tasks,
+                           train_cfg_from_config(cfg, seed=seed), aux_cfg,
+                           donor_state=state, out_dir=run_dir)
+        return res.diverged, res.final_metrics
 
-    results = [run_cell(c) for c in cells]
+    # the donors are a first wave of jobs, the cells a second
+    with job_pool(train_one) as run:
+        donors = run([(*d, path) for d, path in donor_dirs.items()])
+        for (name, seed), (diverged, _) in zip(donor_dirs, donors):
+            if diverged:
+                raise DataError(f"donor {name} seed {seed} diverged")
+        results = run([(name, seed, os.path.join(out_dir, "cells", f"{name}-s{seed}"),
+                        donor_dirs.get(donor_of.get((name, seed)))) for name, seed in cells])
 
     metric_cols = _metric_columns(cfg)
     rows = []
     by_strategy: dict[str, list[dict]] = {}
-    any_diverged = False
-    for (name, seed), res in zip(cells, results):
+    for (name, seed), (diverged, final_metrics) in zip(cells, results):
         row = {"strategy": name, "seed": seed,
-               "status": "diverged" if res.diverged else "ok"}
-        if res.diverged:
-            any_diverged = True
-        else:
-            for t, m in res.final_metrics.items():
+               "status": "diverged" if diverged else "ok"}
+        if not diverged:
+            for m in final_metrics.values():
                 row.update(m)
             by_strategy.setdefault(name, []).append(row)
         rows.append({c: row.get(c, "") for c in ["strategy", "seed", "status"] + metric_cols})
@@ -202,7 +194,7 @@ def cmd_compare(args) -> int:
     _write_csv(os.path.join(out_dir, "table.csv"), rows)
     print(f"wrote {os.path.join(out_dir, 'table.csv')} "
           f"({len(cells)} cells, {len(strategies)} summary rows)")
-    return EXIT_DIVERGED if any_diverged else EXIT_OK
+    return EXIT_DIVERGED if any(diverged for diverged, _ in results) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

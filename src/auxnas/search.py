@@ -8,7 +8,6 @@ are divided by 180 degrees first. Invalid or diverged candidates score 0.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -21,8 +20,7 @@ from .controller import ControllerPolicy, SampleBatch
 from .layers import ADAPTOR_OP_NAMES, AGG_OP_NAMES, GenotypeError
 from .metrics import METRIC_REWARD_KIND, PRIMARY_METRIC
 from .model import TaskSpec
-from .train import (AuxCfg, Strategy, TrainCfg, blas_thread_setter, die_with_parent,
-                    run_strategy)
+from .train import AuxCfg, Strategy, TrainCfg, job_pool, run_strategy
 
 
 def score_metric(value: float, kind: str) -> float:
@@ -249,97 +247,53 @@ def operator_frequencies(genotypes: list[Genotype]) -> dict[str, float]:
     return out
 
 
-# (EvalCfg, search seed) of a forked worker; set by its initializer, unset in
-# the parent.
-_worker_args: tuple[EvalCfg, int] | None = None
-
-
-def _init_worker(eval_cfg: EvalCfg, search_seed: int) -> None:
-    global _worker_args
-    die_with_parent()
-    blas_thread_setter()(1)
-    _worker_args = (eval_cfg, search_seed)
-
-
-def _evaluate_in_worker(genotype: Genotype, cid: int) -> RewardRecord:
-    eval_cfg, search_seed = _worker_args
-    return evaluate_candidate(genotype, eval_cfg, candidate_seed(search_seed, cid), cid)
-
-
 def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalCfg | None,
                 evaluator=None, workers: int | None = None) -> SearchResult:
     """Sample-evaluate-update until the candidate budget is spent.
 
-    Each PPO batch's candidates are trained and scored in a pool of worker
-    processes, forked once per call at one OpenBLAS thread each, with
-    ``min(usable CPUs, search_cfg.batch)`` workers unless ``workers`` says
-    otherwise. A forked worker inherits ``eval_cfg`` and its dataset instead
-    of receiving a pickled copy. Records come back in candidate order, and a
-    candidate gets its own model, tape and rng stream, so the results do
-    not depend on the worker count. An exception raised in a worker is
-    raised here, and no worker outlives the call, nor a calling process that
-    is killed. A worker builds its training batches inline (see
-    ``run_strategy``). The controller, PPO and the best-candidate tracking
-    run in the calling process.
-
-    A custom ``evaluator(genotype, candidate_id)``, one worker, or an
-    OpenBLAS without a thread-count setter evaluates the candidates in order
-    in the calling thread instead.
+    ``evaluator(genotype, candidate_id)`` scores a candidate, by default
+    ``evaluate_candidate`` at ``candidate_seed``. Each PPO batch's
+    candidates are scored in a ``train.job_pool`` forked once per call, with
+    at most ``workers`` workers (default ``search_cfg.batch``), so the
+    evaluator runs in the workers. Records come back in candidate order, and
+    a candidate gets its own model, tape and rng stream, so the results do
+    not depend on the worker count. The controller, PPO and the
+    best-candidate tracking run in the calling process.
     """
-    if evaluator is None and eval_cfg is None:
-        raise ContractError("search_loop needs an eval_cfg or an evaluator")
-    if workers is None:
-        workers = min(len(os.sched_getaffinity(0)), search_cfg.batch)
-    if evaluator is not None or workers < 2 or blas_thread_setter() is None:
-        if evaluator is None:
-            def evaluator(genotype, cid):
-                return evaluate_candidate(genotype, eval_cfg,
-                                          candidate_seed(search_cfg.seed, cid), cid)
+    if evaluator is None:
+        if eval_cfg is None:
+            raise ContractError("search_loop needs an eval_cfg or an evaluator")
 
-        return _search(policy, search_cfg,
-                       lambda genotypes, ids: [evaluator(g, c) for g, c in zip(genotypes, ids)])
-    # imported here: they add about 2 MB to the peak RSS of a process that
-    # only trains
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        def evaluator(genotype, cid):
+            return evaluate_candidate(genotype, eval_cfg,
+                                      candidate_seed(search_cfg.seed, cid), cid)
 
-    # fork, not spawn: the workers share the dataset copy-on-write instead
-    # of unpickling it (numpy's OpenBLAS stops its threads around a fork)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker,
-                             initargs=(eval_cfg, search_cfg.seed)) as pool:
-        return _search(policy, search_cfg,
-                       lambda genotypes, ids: list(pool.map(_evaluate_in_worker, genotypes, ids)))
-
-
-def _search(policy: ControllerPolicy, search_cfg: SearchCfg, evaluate) -> SearchResult:
     rng = np.random.default_rng(np.random.SeedSequence([search_cfg.seed, 0x5EA]))
     ppo_state = PpoState()
     records: list[RewardRecord] = []
     opstats: list[dict] = []
     best: tuple[float, Genotype | None] = (-1.0, None)
-    update_idx = 0
     remaining = search_cfg.candidates
-    while remaining > 0:
-        n = min(search_cfg.batch, remaining)
-        sample: SampleBatch = policy.sample(rng, n)
-        genotypes = [policy.decode(tokens) for tokens in sample.tokens]
-        batch_records = evaluate(genotypes, range(len(records), len(records) + n))
-        records.extend(batch_records)
-        for rec, g in zip(batch_records, genotypes):
-            # only candidates that actually built and trained are eligible
-            if rec.valid and not rec.diverged and rec.reward > best[0]:
-                best = (rec.reward, g)
-        ppo_batch = [(sample.tokens[i], sample.log_probs[i], batch_records[i].reward)
-                     for i in range(n)]
-        ppo_update(policy, ppo_batch, ppo_state)
-        row = {"update": update_idx, "candidates": n,
-               "invalid": sum(not r.valid for r in batch_records),
-               "mean_reward": float(np.mean([r.reward for r in batch_records])),
-               "best_reward": max(best[0], 0.0)}
-        row.update(operator_frequencies(genotypes))
-        opstats.append(row)
-        update_idx += 1
-        remaining -= n
+    with job_pool(evaluator, workers or search_cfg.batch) as evaluate:
+        while remaining > 0:
+            n = min(search_cfg.batch, remaining)
+            sample: SampleBatch = policy.sample(rng, n)
+            genotypes = [policy.decode(tokens) for tokens in sample.tokens]
+            batch_records = evaluate([(g, len(records) + i) for i, g in enumerate(genotypes)])
+            records.extend(batch_records)
+            for rec, g in zip(batch_records, genotypes):
+                # only candidates that actually built and trained are eligible
+                if rec.valid and not rec.diverged and rec.reward > best[0]:
+                    best = (rec.reward, g)
+            ppo_batch = [(sample.tokens[i], sample.log_probs[i], batch_records[i].reward)
+                         for i in range(n)]
+            ppo_update(policy, ppo_batch, ppo_state)
+            row = {"update": len(opstats), "candidates": n,
+                   "invalid": sum(not r.valid for r in batch_records),
+                   "mean_reward": float(np.mean([r.reward for r in batch_records])),
+                   "best_reward": max(best[0], 0.0)}
+            row.update(operator_frequencies(genotypes))
+            opstats.append(row)
+            remaining -= n
     return SearchResult(best_genotype=best[1], best_reward=max(best[0], 0.0),
                         records=records, opstats=opstats)

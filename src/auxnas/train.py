@@ -55,16 +55,21 @@ def keep_freed_heap() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-def blas_thread_setter():
-    """The thread-count setter of numpy's bundled OpenBLAS, or None."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    for lib in libs:
-        fn = getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
-        if fn is not None:
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = None
-            return fn
+def blas_threads(n: int | None = None) -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, which is then set to
+    ``n`` if given; None, and nothing set, without that OpenBLAS."""
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "*openblas*")):
+        handle = ctypes.CDLL(lib)
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            count = get()
+            if n is not None:
+                handle.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+                handle.scipy_openblas_set_num_threads64_.restype = None
+                handle.scipy_openblas_set_num_threads64_(n)
+            return count
     return None
 
 
@@ -84,6 +89,48 @@ def die_with_parent() -> None:
         prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != multiprocessing.parent_process().pid:
         os._exit(1)
+
+
+_job_fn = None  # set in each job_pool worker
+
+
+def _start_worker(fn) -> None:
+    global _job_fn
+    die_with_parent()
+    blas_threads(1)
+    _job_fn = fn
+
+
+def _run_job(job):
+    return _job_fn(*job)
+
+
+@contextlib.contextmanager
+def job_pool(fn, workers: int | None = None):
+    """Yield ``run(jobs)``, which returns ``[fn(*job) for job in jobs]``.
+
+    The jobs run in one worker per CPU of the calling thread's mask, at most
+    ``workers``, forked once on entry and set to one OpenBLAS thread each.
+    Fork, not spawn: a worker inherits ``fn`` and what it refers to, such as
+    a dataset, copy-on-write; only jobs and results are pickled. Results
+    come back in job order, and the first failing job's exception is raised
+    here with its type. No worker outlives the block, nor a killed caller.
+    With one worker or an OpenBLAS without a thread-count setter, the jobs
+    run in order in the calling thread instead.
+    """
+    cpus = len(os.sched_getaffinity(0))
+    workers = min(cpus, workers or cpus)
+    if workers < 2 or blas_threads() is None:
+        yield lambda jobs: [fn(*job) for job in jobs]
+        return
+    # imported here: they add about 2 MB to the peak RSS of a process that
+    # only trains
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(fn,)) as pool:
+        yield lambda jobs: list(pool.map(_run_job, jobs))
 
 
 class DataError(Exception):
@@ -436,9 +483,7 @@ def _produce(writer, reader, batches, cpu: int) -> None:
     reader.close()
     die_with_parent()
     os.sched_setaffinity(0, {cpu})
-    setter = blas_thread_setter()
-    if setter is not None:
-        setter(1)
+    blas_threads(1)
     try:
         for batch in batches:
             writer.send(batch)
@@ -460,12 +505,14 @@ def _batch_source(batches, n: int):
     process when a CPU is spare.
 
     With two or more CPUs in the calling thread's mask, and outside any
-    ``multiprocessing`` child (a search worker already fills a CPU), the
-    producer owns the generator and its rngs, runs pinned to the mask's last
-    CPU and sends the batches through a one-way pipe; the calling thread is
-    pinned to the other CPUs, because an unpinned producer was woken on the
-    trainer's CPU. On exit the producer is stopped and the thread's mask
-    restored. Otherwise ``batches`` is iterated inline.
+    ``multiprocessing`` child (a ``job_pool`` worker already fills a CPU),
+    the producer owns the generator and its rngs, runs pinned to the mask's
+    last CPU and sends the batches through a one-way pipe; the calling
+    thread is pinned to the other CPUs, because an unpinned producer was
+    woken on the trainer's CPU, and OpenBLAS runs no more threads than
+    those CPUs. On exit the producer is stopped and the thread's mask and
+    OpenBLAS's thread count are restored. Otherwise ``batches`` is iterated
+    inline.
     """
     mask = os.sched_getaffinity(0)
     import multiprocessing
@@ -484,6 +531,11 @@ def _batch_source(batches, n: int):
                            daemon=True)
     producer.start()
     writer.close()
+    # OpenBLAS starts its threads again from the next thread that needs them,
+    # and they keep that thread's mask
+    threads = blas_threads()
+    if threads is not None:
+        blas_threads(min(threads, len(cpus) - 1))
     try:
         os.sched_setaffinity(0, cpus[:-1])
         yield _received(reader, n)
@@ -492,6 +544,7 @@ def _batch_source(batches, n: int):
         producer.join()
         reader.close()
         os.sched_setaffinity(0, mask)
+        blas_threads(threads)  # None: there was nothing to set
 
 
 def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,

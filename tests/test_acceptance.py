@@ -27,6 +27,7 @@ from auxnas.train import (
     PRIOR_LR_DIVISOR,
     Strategy,
     TrainCfg,
+    job_pool,
     loss_depth,
     loss_normal,
     loss_segmentation,
@@ -426,20 +427,25 @@ class TestCriterion8Constants:
 @pytest.mark.slow
 class TestCriterion9Directional:
     def test_auxi_both_vs_joint(self, std_ds):
+        # the six runs train in a job pool; a run's outputs do not depend on
+        # the process it trains in
+        def train(kind, seed):
+            t0 = time.time()
+            res = run_strategy(Strategy(kind), std_ds, "baseline", TASKS2,
+                               TrainCfg(iters=2000, seed=seed, eval_every=0), AuxCfg())
+            return time.time() - t0, res.diverged, res.final_metrics
+
+        jobs = [(kind, seed) for seed in (1, 2, 3) for kind in ("joint", "auxi_both")]
+        with job_pool(train) as run:
+            results = dict(zip(jobs, run(jobs)))
         wins = 0
         details = []
         for seed in (1, 2, 3):
             metrics = {}
-            for key, strat in (("joint", Strategy("joint")),
-                               ("auxi", Strategy("auxi_both"))):
-                t0 = time.time()
-                res = run_strategy(strat, std_ds, "baseline", TASKS2,
-                                   TrainCfg(iters=2000, seed=seed, eval_every=0),
-                                   AuxCfg())
-                elapsed = time.time() - t0
+            for key, kind in (("joint", "joint"), ("auxi", "auxi_both")):
+                elapsed, diverged, metrics[key] = results[kind, seed]
                 assert elapsed < 600, f"{key} seed {seed} took {elapsed:.0f}s"
-                assert not res.diverged
-                metrics[key] = res.final_metrics
+                assert not diverged
             miou_ok = metrics["auxi"][1]["miou"] >= metrics["joint"][1]["miou"]
             rel_ok = metrics["auxi"][2]["rel"] <= metrics["joint"][2]["rel"]
             wins += miou_ok and rel_ok
@@ -461,26 +467,32 @@ class TestCriterion9Directional:
 class TestCriterion10GradFlow:
     def test_auxi_t2_enhances_shared_gradients(self, std_ds, tmp_path):
         iters = 600
+        seeds = (1, 2, 3)
+
+        # one run in a job pool; the cumulative probe sums go back
+        def train(strategy, seed, out_dir=None, donor_ckpt=None):
+            state = None if donor_ckpt is None else load_checkpoint(donor_ckpt)[1]
+            res = run_strategy(strategy, std_ds, "baseline", TASKS2,
+                               TrainCfg(iters=iters, seed=seed, eval_every=0), AuxCfg(),
+                               donor_state=state, out_dir=out_dir)
+            probes = [k for k in res.records[0] if k.startswith("probe_")]
+            return res.ckpt_path, {k: sum(r.get(k, 0.0) for r in res.records) for k in probes}
+
+        # the donors are a first wave of jobs, the runs they compare a second
+        strategies = {"joint": Strategy("joint"), "auxi": Strategy("auxi_single", task=2)}
+        jobs = [(key, seed) for seed in seeds for key in strategies]
+        with job_pool(train) as run:
+            donors = run([(Strategy("single", task=1), seed, str(tmp_path / f"donor{seed}"))
+                          for seed in seeds])
+            donor_ckpt = {seed: ckpt for seed, (ckpt, _) in zip(seeds, donors)}
+            runs = run([(strategies[key], seed, None, donor_ckpt[seed] if key == "auxi" else None)
+                        for key, seed in jobs])
+        cum = {job: c for job, (_, c) in zip(jobs, runs)}
         seed_wins = 0
         details = []
-        for seed in (1, 2, 3):
-            donor = run_strategy(Strategy("single", task=1), std_ds, "baseline", TASKS2,
-                                 TrainCfg(iters=iters, seed=seed, eval_every=0), AuxCfg(),
-                                 out_dir=str(tmp_path / f"donor{seed}"))
-            _, state = load_checkpoint(donor.ckpt_path)
-            runs = {}
-            runs["joint"] = run_strategy(Strategy("joint"), std_ds, "baseline", TASKS2,
-                                         TrainCfg(iters=iters, seed=seed, eval_every=0),
-                                         AuxCfg())
-            runs["auxi"] = run_strategy(Strategy("auxi_single", task=2), std_ds,
-                                        "baseline", TASKS2,
-                                        TrainCfg(iters=iters, seed=seed, eval_every=0),
-                                        AuxCfg(), donor_state=state)
-            cum = {}
-            for key, res in runs.items():
-                probes = [k for k in res.records[0] if k.startswith("probe_")]
-                cum[key] = {k: sum(r.get(k, 0.0) for r in res.records) for k in probes}
-            layer_wins = sum(cum["auxi"][k] > cum["joint"][k] for k in cum["joint"])
+        for seed in seeds:
+            joint, auxi = cum["joint", seed], cum["auxi", seed]
+            layer_wins = sum(auxi[k] > joint[k] for k in joint)
             seed_wins += layer_wins >= 2
             details.append(f"seed {seed}: {layer_wins}/3 layers enhanced")
         assert seed_wins >= 2, "; ".join(details)

@@ -454,6 +454,21 @@ class TestCompare:
         assert rc == 0
         assert (workdir / "cmp_donor" / "donors" / "single-t1-s3" / "model.ckpt").exists()
 
+    def test_one_cpu_writes_the_same_bytes_as_two(self, workdir, monkeypatch):
+        # two CPUs train the donors and cells in a job pool, one CPU inline
+        def run(name):
+            cfg = write_cfg(workdir, name)
+            assert main(["compare", "--config", cfg, "--strategies", "joint,prior-t1",
+                         "--seeds", "1,2"]) == 0
+            out = workdir / name
+            cells = [out / "cells" / f"{s}-s{seed}" / f for s in ("joint", "prior-t1")
+                     for seed in (1, 2) for f in ("run.csv", "eval.csv", "model.ckpt")]
+            return [digest(p) for p in [out / "table.csv"] + cells]
+
+        two = run("cmp_two_cpus")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run("cmp_one_cpu") == two
+
 
 def child_pids(pid):
     """The children of every thread of process ``pid``."""
@@ -484,6 +499,7 @@ class TestKilled:
     @pytest.mark.parametrize("command,n_children", [
         (["search"], 2),                         # the pool's workers
         (["train", "--strategy", "joint"], 1),   # the batch producer
+        (["compare", "--strategies", "joint", "--seeds", "1,2"], 2),  # the pool's workers
     ])
     def test_sigkill_leaves_no_child_running(self, workdir, command, n_children):
         cfg = write_cfg(workdir, f"killed_{command[0]}", train={"iters": 100000},

@@ -1,5 +1,7 @@
 """Reward shaping, PPO mechanics, candidate evaluation, search accounting."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,26 @@ class TestWorkerPool:
         one = self.search(meta_ds, workers=1)
         assert any(r.valid for r in one.records)
         assert outputs(one) == outputs(self.search(meta_ds, workers=2))
+
+    def test_custom_evaluator_at_one_and_two_workers(self):
+        def ev(genotype, cid):
+            return RewardRecord(candidate_id=cid, seed=cid, genotype=genotype,
+                                metrics={"pid": os.getpid()}, reward=(cid % 5) / 5.0,
+                                diverged=False, budget_iters=0, wall_ms=0)
+
+        def search(workers):
+            policy = ControllerPolicy(2, 1, np.random.default_rng(3))
+            res = search_loop(policy, SearchCfg(candidates=12, batch=6, seed=4), None,
+                              evaluator=ev, workers=workers)
+            pids = {r.metrics.pop("pid") for r in res.records}
+            return pids, repr((res.records, res.opstats, res.best_genotype, res.best_reward))
+
+        pids_one, one = search(1)
+        pids_two, two = search(2)
+        assert pids_one == {os.getpid()}
+        if len(os.sched_getaffinity(0)) >= 2:
+            assert os.getpid() not in pids_two
+        assert one == two
 
     def test_worker_exception_reaches_the_caller(self, meta_ds):
         with pytest.raises(ConfigError, match="unknown variant"):

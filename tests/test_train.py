@@ -2,8 +2,10 @@
 
 import ctypes
 import hashlib
+import multiprocessing
 import os
 import resource
+import time
 
 import numpy as np
 import pytest
@@ -359,6 +361,62 @@ class TestBatchProducer:
             assert res.diverged == (case == "diverged")
             assert (len(res.records) < 12) == res.diverged
         assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or (train.blas_threads() or 0) < 2,
+                        reason="needs two CPUs and a threaded OpenBLAS")
+    def test_blas_threads_are_not_pinned_to_the_trainers_cpu(self, tiny_ds, monkeypatch):
+        # a threaded GEMM in the pinned training thread must not leave an
+        # OpenBLAS thread behind on that one CPU
+        threads = train.blas_threads()
+        a = np.ones((256, 256), np.float32)
+        step = train.sgd_step
+
+        def matmul_then_step(*args, **kwargs):
+            a @ a
+            return step(*args, **kwargs)
+        monkeypatch.setattr(train, "sgd_step", matmul_then_step)
+        run_strategy(Strategy("joint"), tiny_ds, "baseline", TASKS2, tiny_cfg(), AuxCfg())
+        masks = []
+        for tid in os.listdir("/proc/self/task"):
+            try:
+                masks.append(os.sched_getaffinity(int(tid)))
+            except ProcessLookupError:  # the thread ended
+                pass
+        assert [m for m in masks if len(m) == 1] == []
+        assert train.blas_threads() == threads
+
+
+def finish_time(i, delay):
+    time.sleep(delay)
+    return i, os.getpid(), time.monotonic()
+
+
+def raise_config_error():
+    raise ConfigError(os.getpid())
+
+
+class TestJobPool:
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_results_come_back_in_job_order(self):
+        with train.job_pool(finish_time, workers=2) as run:
+            out = run([(0, 0.5), (1, 0.0), (2, 0.0)])
+        assert [i for i, _, _ in out] == [0, 1, 2]
+        assert os.getpid() not in {pid for _, pid, _ in out}
+        assert out[0][2] > out[2][2]  # the first job finished last
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_a_workers_exception_reaches_the_caller_with_its_type(self):
+        with pytest.raises(ConfigError) as e:
+            with train.job_pool(raise_config_error, workers=2) as run:
+                run([(), ()])
+        assert e.value.args[0] != os.getpid()
+
+    def test_one_cpu_starts_no_child(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with train.job_pool(finish_time) as run:
+            out = run([(0, 0.0), (1, 0.0)])
+            assert multiprocessing.active_children() == []
+        assert [(i, pid) for i, pid, _ in out] == [(0, os.getpid()), (1, os.getpid())]
 
 
 @pytest.mark.skipif(getattr(ctypes.CDLL(None), "mallopt", None) is None,
