@@ -134,14 +134,23 @@ def _metric_columns(cfg) -> list[str]:
     return cols
 
 
+def _distinct(flag: str, text: str, parse) -> list:
+    """The comma-separated values of ``flag``: at least one, none repeated."""
+    try:
+        values = [parse(v.strip()) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {text!r}") from None
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"{flag} must name at least one value, each once; got {text!r}")
+    return values
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out_dir = cfg["output_dir"]
     ds = SyntheticDataset(cfg["data"]["dir"])
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    if not strategies or not seeds:
-        raise ConfigError("compare needs at least one strategy and one seed")
+    strategies = _distinct("--strategies", args.strategies, str)
+    seeds = _distinct("--seeds", args.seeds, int)
     tasks = tasks_from_config(cfg, ds)
     resolved = {name: strategy_from_config(cfg, name) for name in strategies}
     write_resolved(cfg, out_dir)

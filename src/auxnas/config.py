@@ -37,7 +37,7 @@ DEFAULTS = {
     "search": {**_defaults(SearchCfg), **_defaults(EvalCfg, "short_iters")},
     "output_dir": "out",
 }
-POSITIVE = ("train.batch", "search.batch")
+POSITIVE = ("train.batch", "search.batch", "aux.c_aux")
 
 
 def _type_ok(dval, uval) -> bool:

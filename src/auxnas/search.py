@@ -248,17 +248,17 @@ def operator_frequencies(genotypes: list[Genotype]) -> dict[str, float]:
 
 
 def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalCfg | None,
-                evaluator=None, workers: int | None = None) -> SearchResult:
+                evaluator=None) -> SearchResult:
     """Sample-evaluate-update until the candidate budget is spent.
 
     ``evaluator(genotype, candidate_id)`` scores a candidate, by default
     ``evaluate_candidate`` at ``candidate_seed``. Each PPO batch's
     candidates are scored in a ``train.job_pool`` forked once per call, with
-    at most ``workers`` workers (default ``search_cfg.batch``), so the
-    evaluator runs in the workers. Records come back in candidate order, and
-    a candidate gets its own model, tape and rng stream, so the results do
-    not depend on the worker count. The controller, PPO and the
-    best-candidate tracking run in the calling process.
+    at most ``search_cfg.batch`` workers, so the evaluator runs in the
+    workers. Records come back in candidate order, and a candidate gets its
+    own model, tape and rng stream, so the results do not depend on the
+    worker count. The controller, PPO and the best-candidate tracking run
+    in the calling process.
     """
     if evaluator is None:
         if eval_cfg is None:
@@ -274,7 +274,7 @@ def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalC
     opstats: list[dict] = []
     best: tuple[float, Genotype | None] = (-1.0, None)
     remaining = search_cfg.candidates
-    with job_pool(evaluator, workers or search_cfg.batch) as evaluate:
+    with job_pool(evaluator, search_cfg.batch) as evaluate:
         while remaining > 0:
             n = min(search_cfg.batch, remaining)
             sample: SampleBatch = policy.sample(rng, n)

@@ -171,11 +171,8 @@ def loss_normal(pred: Tensor, gt: np.ndarray) -> Tensor:
 
 
 def task_loss(kind: str, pred: Tensor, batch: dict) -> Tensor:
-    if kind == "seg":
-        return loss_segmentation(pred, batch["seg"])
-    if kind == "depth":
-        return loss_depth(pred, batch["dep"])
-    return loss_normal(pred, batch["nrm"])
+    loss = {"seg": loss_segmentation, "depth": loss_depth, "normal": loss_normal}[kind]
+    return loss(pred, batch[LABEL_KEY[kind]])
 
 
 # ---------------------------------------------------------------------------
@@ -507,20 +504,17 @@ def _batch_source(batches, n: int):
     With two or more CPUs in the calling thread's mask, and outside any
     ``multiprocessing`` child (a ``job_pool`` worker already fills a CPU),
     the producer owns the generator and its rngs, runs pinned to the mask's
-    last CPU and sends the batches through a one-way pipe; the calling
-    thread is pinned to the other CPUs, because an unpinned producer was
-    woken on the trainer's CPU, and OpenBLAS runs no more threads than
-    those CPUs. On exit the producer is stopped and the thread's mask and
-    OpenBLAS's thread count are restored. Otherwise ``batches`` is iterated
-    inline.
+    last CPU at one OpenBLAS thread and sends the batches through a one-way
+    pipe. Unpinned, it was woken on the trainer's CPU. The calling process's
+    masks and OpenBLAS thread count are left as they are. On exit the
+    producer is stopped. Otherwise ``batches`` is iterated inline.
     """
-    mask = os.sched_getaffinity(0)
     import multiprocessing
 
-    if len(mask) < 2 or multiprocessing.parent_process() is not None:
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2 or multiprocessing.parent_process() is not None:
         yield batches
         return
-    cpus = sorted(mask)
     ctx = multiprocessing.get_context("fork")
     reader, writer = ctx.Pipe(duplex=False)
     # room for a whole batch, so that the producer writes one ahead instead of
@@ -531,20 +525,12 @@ def _batch_source(batches, n: int):
                            daemon=True)
     producer.start()
     writer.close()
-    # OpenBLAS starts its threads again from the next thread that needs them,
-    # and they keep that thread's mask
-    threads = blas_threads()
-    if threads is not None:
-        blas_threads(min(threads, len(cpus) - 1))
     try:
-        os.sched_setaffinity(0, cpus[:-1])
         yield _received(reader, n)
     finally:
         producer.terminate()
         producer.join()
         reader.close()
-        os.sched_setaffinity(0, mask)
-        blas_threads(threads)  # None: there was nothing to set
 
 
 def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,

@@ -110,6 +110,7 @@ class TestConfig:
         ({"output_dir": None}, "output_dir"),
         ({"train": {"batch": 0}}, "train.batch"),
         ({"search": {"batch": -3}}, "search.batch"),
+        ({"aux": {"c_aux": 0}}, "aux.c_aux"),
     ])
     def test_values_of_other_type_or_range_rejected(self, user, named):
         with pytest.raises(ConfigError) as e:
@@ -453,6 +454,19 @@ class TestCompare:
                    "--seeds", "3"])
         assert rc == 0
         assert (workdir / "cmp_donor" / "donors" / "single-t1-s3" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("strategies, seeds, named", [
+        ("joint", "1,x", "--seeds must be comma-separated integers"),
+        ("joint", "2,1,02", "--seeds must name at least one value, each once"),
+        ("joint", ",", "--seeds must name at least one value, each once"),
+        ("joint,single-t1,joint", "1", "--strategies must name at least one value, each once"),
+    ])
+    def test_bad_or_repeated_value_exits_2(self, workdir, capsys, strategies, seeds, named):
+        cfg = write_cfg(workdir, "cmp_bad")
+        assert main(["compare", "--config", cfg, "--strategies", strategies,
+                     "--seeds", seeds]) == 2
+        assert named in capsys.readouterr().err
+        assert not (workdir / "cmp_bad").exists()
 
     def test_one_cpu_writes_the_same_bytes_as_two(self, workdir, monkeypatch):
         # two CPUs train the donors and cells in a job pool, one CPU inline

@@ -212,45 +212,53 @@ class TestSearchLoop:
         assert candidate_seed(3, 7) != candidate_seed(3, 8)
 
 
+def one_cpu(monkeypatch):
+    """Run the search's candidates in this process, as with one usable CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 class TestWorkerPool:
-    def search(self, meta_ds, workers, variant="baseline"):
+    def search(self, meta_ds, variant="baseline"):
         policy = ControllerPolicy(4, 2, np.random.default_rng(3))
         cfg = EvalCfg(dataset=meta_ds, variant=variant, tasks=TASKS2, short_iters=4, batch=4)
-        return search_loop(policy, SearchCfg(candidates=12, batch=6, seed=2), cfg,
-                           workers=workers)
+        return search_loop(policy, SearchCfg(candidates=12, batch=6, seed=2), cfg)
 
-    def test_byte_identical_at_one_and_two_workers(self, meta_ds):
+    def test_byte_identical_at_one_and_two_workers(self, meta_ds, monkeypatch):
         def outputs(res):
             recs = [(r.candidate_id, r.seed, r.genotype, r.metrics, r.reward, r.diverged,
                      r.valid, r.budget_iters) for r in res.records]
             return repr((recs, res.opstats, res.best_genotype, res.best_reward))
-        one = self.search(meta_ds, workers=1)
+        two = self.search(meta_ds)
+        one_cpu(monkeypatch)
+        one = self.search(meta_ds)
         assert any(r.valid for r in one.records)
-        assert outputs(one) == outputs(self.search(meta_ds, workers=2))
+        assert outputs(one) == outputs(two)
 
-    def test_custom_evaluator_at_one_and_two_workers(self):
+    def test_custom_evaluator_at_one_and_two_workers(self, monkeypatch):
         def ev(genotype, cid):
             return RewardRecord(candidate_id=cid, seed=cid, genotype=genotype,
                                 metrics={"pid": os.getpid()}, reward=(cid % 5) / 5.0,
                                 diverged=False, budget_iters=0, wall_ms=0)
 
-        def search(workers):
+        def search():
             policy = ControllerPolicy(2, 1, np.random.default_rng(3))
             res = search_loop(policy, SearchCfg(candidates=12, batch=6, seed=4), None,
-                              evaluator=ev, workers=workers)
+                              evaluator=ev)
             pids = {r.metrics.pop("pid") for r in res.records}
             return pids, repr((res.records, res.opstats, res.best_genotype, res.best_reward))
 
-        pids_one, one = search(1)
-        pids_two, two = search(2)
+        two_cpus = len(os.sched_getaffinity(0)) >= 2
+        pids_two, two = search()
+        one_cpu(monkeypatch)
+        pids_one, one = search()
         assert pids_one == {os.getpid()}
-        if len(os.sched_getaffinity(0)) >= 2:
+        if two_cpus:
             assert os.getpid() not in pids_two
         assert one == two
 
     def test_worker_exception_reaches_the_caller(self, meta_ds):
         with pytest.raises(ConfigError, match="unknown variant"):
-            self.search(meta_ds, workers=2, variant="no-such-variant")
+            self.search(meta_ds, variant="no-such-variant")
 
 
 class TestSkipFrequencyTrend:
