@@ -28,7 +28,8 @@ from .layers import GenotypeError
 from .metrics import METRICS_FOR_KIND
 from .model import ConfigError, P_TAPS, load_checkpoint
 from .search import search_loop
-from .train import DataError, Strategy, _write_csv, job_pool, run_strategy
+from .procs import job_pool
+from .train import DataError, Strategy, _write_csv, run_strategy
 
 import numpy as np
 
@@ -103,18 +104,9 @@ def cmd_search(args) -> int:
                               allow_own_task=cfg["aux"]["allow_own_task"])
     result = search_loop(policy, search_cfg, eval_cfg)
     with open(os.path.join(out_dir, "search.log"), "w", newline="\n") as fh:
-        for rec in result.records:
-            fh.write(json.dumps({
-                "candidate_id": rec.candidate_id,
-                "seed": rec.seed,
-                "genotype": genotype_to_json(rec.genotype),
-                "metrics": rec.metrics,
-                "reward": rec.reward,
-                "diverged": rec.diverged,
-                "valid": rec.valid,
-                "budget_iters": rec.budget_iters,
-                "wall_ms": rec.wall_ms,
-            }, sort_keys=True) + "\n")
+        for rec in result.records:  # every RewardRecord field, one record per line
+            fh.write(json.dumps({**vars(rec), "genotype": genotype_to_json(rec.genotype)},
+                                sort_keys=True) + "\n")
     _write_csv(os.path.join(out_dir, "opstats.csv"), result.opstats)
     if result.best_genotype is not None:
         save_genotype(os.path.join(out_dir, "best.genotype.json"), result.best_genotype)
@@ -151,6 +143,8 @@ def cmd_compare(args) -> int:
     ds = SyntheticDataset(cfg["data"]["dir"])
     strategies = _distinct("--strategies", args.strategies, str)
     seeds = _distinct("--seeds", args.seeds, int)
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must not be negative, got {args.seeds!r}")
     tasks = tasks_from_config(cfg, ds)
     resolved = {name: strategy_from_config(cfg, name) for name in strategies}
     write_resolved(cfg, out_dir)

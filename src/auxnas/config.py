@@ -37,7 +37,8 @@ DEFAULTS = {
     "search": {**_defaults(SearchCfg), **_defaults(EvalCfg, "short_iters")},
     "output_dir": "out",
 }
-POSITIVE = ("train.batch", "search.batch", "aux.c_aux")
+MINIMUM = {"train.batch": 1, "search.batch": 1, "aux.c_aux": 1,
+           "train.seed": 0, "search.seed": 0}
 
 
 def _type_ok(dval, uval) -> bool:
@@ -62,8 +63,8 @@ def _merge(defaults, user, path=""):
             want = {type(None): "null or str", float: "number", list: "list of str",
                     tuple: "list of str"}.get(type(dval), type(dval).__name__)
             raise ConfigError(f"config value {path}{key} must be {want}, got {user[key]!r}")
-        elif path + key in POSITIVE and user[key] < 1:
-            raise ConfigError(f"config value {path}{key} must be at least 1, got {user[key]}")
+        elif (low := MINIMUM.get(path + key)) is not None and user[key] < low:
+            raise ConfigError(f"config value {path}{key} must be at least {low}, got {user[key]}")
         else:
             out[key] = user[key]
     unknown = set(user) - set(defaults)

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
 from .auxiliary import AuxCell, Genotype, available_locations
-from .layers import AdaptorOp, AggOp, GenotypeError
+from .layers import AdaptorOp, AggOp
 
 CELL_ROLES = ("loc", "loc", "op_ad", "op_ad", "op_ag")
 N_ADAPTOR_OPS = len(AdaptorOp)
@@ -53,15 +53,6 @@ def decode_tokens(seq, p: int, t: int, allow_own_task: bool = True) -> Genotype:
     g = Genotype(p, t, tuple(tuple(cells[ti * p:(ti + 1) * p]) for ti in range(t)))
     g.validate(allow_own_task)
     return g
-
-
-def encode_genotype(g: Genotype, allow_own_task: bool = True) -> list[int]:
-    """Genotype -> tokens; the exact inverse of decode_tokens on valid input."""
-    try:
-        g.validate(allow_own_task)
-    except GenotypeError as e:
-        raise CodecError(f"cannot encode invalid genotype: {e}") from e
-    return g.tokens()
 
 
 def loc_mask(p: int, t: int, ti: int, pi: int, allow_own_task: bool = True) -> np.ndarray:

@@ -267,8 +267,9 @@ def gen_synthetic(out_dir: str, seed: int, n: int, h: int = 32, w: int = 32, k: 
     is finished, so the dataset is never whole in memory. Every argument is
     checked before anything is written; a bad argument raises ValueError
     naming it."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    for name, value, low in (("seed", seed, 0), ("n", n, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     _check_scene_args(h, w, k)
     splits = _split_indices(n, val_n, test_n)
     os.makedirs(out_dir, exist_ok=True)

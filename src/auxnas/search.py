@@ -20,7 +20,8 @@ from .controller import ControllerPolicy, SampleBatch
 from .layers import ADAPTOR_OP_NAMES, AGG_OP_NAMES, GenotypeError
 from .metrics import METRIC_REWARD_KIND, PRIMARY_METRIC
 from .model import TaskSpec
-from .train import AuxCfg, Strategy, TrainCfg, job_pool, run_strategy
+from .procs import job_pool
+from .train import AuxCfg, Strategy, TrainCfg, run_strategy
 
 
 def score_metric(value: float, kind: str) -> float:
@@ -253,12 +254,12 @@ def search_loop(policy: ControllerPolicy, search_cfg: SearchCfg, eval_cfg: EvalC
 
     ``evaluator(genotype, candidate_id)`` scores a candidate, by default
     ``evaluate_candidate`` at ``candidate_seed``. Each PPO batch's
-    candidates are scored in a ``train.job_pool`` forked once per call, with
+    candidates are scored in a ``procs.job_pool`` forked once per call, with
     at most ``search_cfg.batch`` workers, so the evaluator runs in the
-    workers. Records come back in candidate order, and a candidate gets its
-    own model, tape and rng stream, so the results do not depend on the
-    worker count. The controller, PPO and the best-candidate tracking run
-    in the calling process.
+    workers, or here with one usable CPU. Records come back in candidate
+    order, and a candidate gets its own model, tape and rng stream, so the
+    results do not depend on the worker count. The controller, PPO and the
+    best-candidate tracking run in the calling process.
     """
     if evaluator is None:
         if eval_cfg is None:

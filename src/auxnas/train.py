@@ -9,13 +9,8 @@ initial learning rate by 10.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import fcntl
-import glob
 import os
-import signal
 import zlib
 from dataclasses import dataclass, field
 
@@ -28,109 +23,12 @@ from .data import IGNORE_LABEL, SyntheticDataset, augment, collate
 from .layers import AggOp, BuildCtx, TaskHead
 from .metrics import task_metrics
 from .model import ConfigError, TaskSpec, build_model, load_checkpoint, save_checkpoint
+from .procs import batch_source, keep_freed_heap
 
 DS_SCALE = 0.1
 PRIOR_LR_DIVISOR = 10.0
 DEFAULT_PROBE_LAYERS = ("encoder.stage1.w", "encoder.stage2.w", "encoder.stage3.w")
 LABEL_KEY = {"seg": "seg", "depth": "dep", "normal": "nrm"}
-
-
-def keep_freed_heap() -> None:
-    """Let the next iteration reuse the memory this one frees.
-
-    Backward frees the forward's arrays newest first, so the free space
-    gathers at the top of glibc's heap. With glibc's default, adaptive
-    thresholds, whether that top is trimmed (and faulted back in by the next
-    forward) depends on the process's memory layout, down to the length of
-    its paths. Fixed thresholds serve every array under 32 MiB from the
-    heap and trim only a free top over 64 MiB. A no-op where the C library
-    has no ``mallopt``.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
-def blas_threads(n: int | None = None) -> int | None:
-    """The thread count of numpy's bundled OpenBLAS, which is then set to
-    ``n`` if given; None, and nothing set, without that OpenBLAS."""
-    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                      "*openblas*")):
-        handle = ctypes.CDLL(lib)
-        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
-        if get is not None:
-            get.restype = ctypes.c_int
-            count = get()
-            if n is not None:
-                handle.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-                handle.scipy_openblas_set_num_threads64_.restype = None
-                handle.scipy_openblas_set_num_threads64_(n)
-            return count
-    return None
-
-
-def die_with_parent() -> None:
-    """Have Linux SIGKILL this forked ``multiprocessing`` child when its parent dies.
-
-    A parent that died during the fork has already handed the child to
-    another process, so the child then exits at once. Without ``prctl``
-    only that check is made.
-    """
-    import multiprocessing
-
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != multiprocessing.parent_process().pid:
-        os._exit(1)
-
-
-_job_fn = None  # set in each job_pool worker
-
-
-def _start_worker(fn) -> None:
-    global _job_fn
-    die_with_parent()
-    blas_threads(1)
-    _job_fn = fn
-
-
-def _run_job(job):
-    return _job_fn(*job)
-
-
-@contextlib.contextmanager
-def job_pool(fn, workers: int | None = None):
-    """Yield ``run(jobs)``, which returns ``[fn(*job) for job in jobs]``.
-
-    The jobs run in one worker per CPU of the calling thread's mask, at most
-    ``workers``, forked once on entry and set to one OpenBLAS thread each.
-    Fork, not spawn: a worker inherits ``fn`` and what it refers to, such as
-    a dataset, copy-on-write; only jobs and results are pickled. Results
-    come back in job order, and the first failing job's exception is raised
-    here with its type. No worker outlives the block, nor a killed caller.
-    With one worker or an OpenBLAS without a thread-count setter, the jobs
-    run in order in the calling thread instead.
-    """
-    cpus = len(os.sched_getaffinity(0))
-    workers = min(cpus, workers or cpus)
-    if workers < 2 or blas_threads() is None:
-        yield lambda jobs: [fn(*job) for job in jobs]
-        return
-    # imported here: they add about 2 MB to the peak RSS of a process that
-    # only trains
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(fn,)) as pool:
-        yield lambda jobs: list(pool.map(_run_job, jobs))
 
 
 class DataError(Exception):
@@ -279,6 +177,7 @@ def joint_objective(setup: TrainSetup, batch: dict, mode: str = "train") -> tupl
     st = setup.strategy
     model = setup.model
     img = batch["img"]
+    h, w = img.shape[2:]
     preds, taps = model.forward(img, mode)
     parts: dict[str, float] = {}
     terms: list[Tensor] = []
@@ -300,7 +199,6 @@ def joint_objective(setup: TrainSetup, batch: dict, mode: str = "train") -> tupl
     if st.has_aux_modules:
         if setup.aux_set is None:
             raise ConfigError(f"strategy {st.name} requires auxiliary modules")
-        h, w = img.shape[2], img.shape[3]
         aux_preds = setup.aux_set.forward(taps, (h, w), mode)
         for mt in sorted(aux_preds):
             aux_loss = task_loss(model.tasks[mt - 1].kind, aux_preds[mt], batch)
@@ -312,7 +210,6 @@ def joint_objective(setup: TrainSetup, batch: dict, mode: str = "train") -> tupl
     if st.kind == "ds":
         mt = st.task
         task = model.tasks[mt - 1]
-        h, w = img.shape[2], img.shape[3]
         ds_sum = None
         for p, head in sorted(setup.ds_heads.items()):
             l_p = task_loss(task.kind, head(taps[p], h, w, mode), batch)
@@ -389,16 +286,14 @@ class RunResult:
 def _build_setup(strategy: Strategy, variant: str, cfg_tasks: list[TaskSpec],
                  aux_cfg: AuxCfg, rng_init: np.random.Generator,
                  rng_aux: np.random.Generator, input_hw: tuple[int, int]) -> TrainSetup:
+    if strategy.task > len(cfg_tasks):
+        raise ConfigError(f"strategy {strategy.name}: config has {len(cfg_tasks)} tasks")
     if strategy.kind == "single":
-        if strategy.task > len(cfg_tasks):
-            raise ConfigError(f"strategy {strategy.name}: config has {len(cfg_tasks)} tasks")
         model_tasks = [cfg_tasks[strategy.task - 1]]
         task_map = {1: strategy.task}
     else:
         model_tasks = list(cfg_tasks)
         task_map = {i: i for i in range(1, len(cfg_tasks) + 1)}
-        if strategy.task > len(cfg_tasks):
-            raise ConfigError(f"strategy {strategy.name}: config has {len(cfg_tasks)} tasks")
     model = build_model(variant, model_tasks, rng_init, input_hw=input_hw)
     setup = TrainSetup(model=model, strategy=strategy, task_map=task_map)
 
@@ -475,64 +370,6 @@ def _batches(ds: SyntheticDataset, train_idx, train_cfg: TrainCfg,
         yield collate(samples)
 
 
-def _produce(writer, reader, batches, cpu: int) -> None:
-    """Producer process: send each batch, or the exception that stopped them."""
-    reader.close()
-    die_with_parent()
-    os.sched_setaffinity(0, {cpu})
-    blas_threads(1)
-    try:
-        for batch in batches:
-            writer.send(batch)
-    except Exception as e:
-        writer.send(e)
-
-
-def _received(reader, n: int):
-    for _ in range(n):
-        msg = reader.recv()
-        if isinstance(msg, Exception):
-            raise msg
-        yield msg
-
-
-@contextlib.contextmanager
-def _batch_source(batches, n: int):
-    """The ``n`` batches of ``batches``, built ahead in a forked producer
-    process when a CPU is spare.
-
-    With two or more CPUs in the calling thread's mask, and outside any
-    ``multiprocessing`` child (a ``job_pool`` worker already fills a CPU),
-    the producer owns the generator and its rngs, runs pinned to the mask's
-    last CPU at one OpenBLAS thread and sends the batches through a one-way
-    pipe. Unpinned, it was woken on the trainer's CPU. The calling process's
-    masks and OpenBLAS thread count are left as they are. On exit the
-    producer is stopped. Otherwise ``batches`` is iterated inline.
-    """
-    import multiprocessing
-
-    cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) < 2 or multiprocessing.parent_process() is not None:
-        yield batches
-        return
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    # room for a whole batch, so that the producer writes one ahead instead of
-    # waiting on each 64 KiB read; 1 MiB is Linux's default limit
-    with contextlib.suppress(OSError):
-        fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
-    producer = ctx.Process(target=_produce, args=(writer, reader, batches, cpus[-1]),
-                           daemon=True)
-    producer.start()
-    writer.close()
-    try:
-        yield _received(reader, n)
-    finally:
-        producer.terminate()
-        producer.join()
-        reader.close()
-
-
 def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
                  cfg_tasks: list[TaskSpec], train_cfg: TrainCfg, aux_cfg: AuxCfg,
                  donor_state: dict | None = None, out_dir: str | None = None,
@@ -542,7 +379,7 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
     Prior/AuxiSingle require donor_state (a checkpoint state dict); they
     load its shared parameters and divide the learning rate by 10. The
     training batches are built ahead in a forked producer process when a CPU
-    is spare (``_batch_source``); the outputs are the same either way.
+    is spare (``procs.batch_source``); the outputs are the same either way.
     """
     keep_freed_heap()
     ss = np.random.SeedSequence([train_cfg.seed, 0xA01])
@@ -579,9 +416,8 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
         eval_rows.append(row)
         return metrics
 
-    final_metrics = None
-    with _batch_source(_batches(ds, train_idx, train_cfg, rng_data, rng_augment),
-                       train_cfg.iters) as batches:
+    with batch_source(_batches(ds, train_idx, train_cfg, rng_data, rng_augment),
+                      train_cfg.iters) as batches:
         for it, batch in enumerate(batches):
             model.params.zero_grad()
             try:
@@ -607,9 +443,8 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
                     and (it + 1) < train_cfg.iters:
                 run_eval(it + 1)
 
+    final_metrics = None if diverged else run_eval(train_cfg.iters)
     ckpt_path = None
-    if not diverged:
-        final_metrics = run_eval(train_cfg.iters)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         stripped = strip_aux(model.params)

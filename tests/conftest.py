@@ -17,6 +17,14 @@ def std_ds(tmp_path_factory):
     return SyntheticDataset(str(root))
 
 
+@pytest.fixture(scope="module")
+def tiny_ds(tmp_path_factory):
+    """24 samples at 16x16: 16 train, 6 val, 2 test."""
+    root = tmp_path_factory.mktemp("data") / "tiny"
+    gen_synthetic(str(root), seed=3, n=24, h=16, w=16, val_n=6, test_n=2)
+    return SyntheticDataset(str(root))
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process running, and stop the child."""

@@ -16,10 +16,11 @@ from auxnas import autodiff as ad
 from auxnas.autodiff import Tape, Tensor, parameter
 from auxnas.auxiliary import build_basic_aux, strip_aux
 from auxnas.cli import main as cli_main
-from auxnas.controller import ControllerPolicy, decode_tokens, encode_genotype, seq_length
+from auxnas.controller import ControllerPolicy, decode_tokens, seq_length
 from auxnas.data import SyntheticDataset, gen_synthetic
 from auxnas.layers import AdaptorOp, AggOp, deform_conv3x3
 from auxnas.model import TaskSpec, build_model, load_checkpoint
+from auxnas.procs import job_pool
 from auxnas.search import PpoCfg, PpoState, compute_reward, ppo_update
 from auxnas.train import (
     AuxCfg,
@@ -27,7 +28,6 @@ from auxnas.train import (
     PRIOR_LR_DIVISOR,
     Strategy,
     TrainCfg,
-    job_pool,
     loss_depth,
     loss_normal,
     loss_segmentation,
@@ -40,7 +40,7 @@ import os
 
 sys.path.insert(0, os.path.dirname(__file__))
 from _gradcheck import check_grads  # noqa: E402
-from _helpers import state_dict  # noqa: E402
+from _helpers import encode_genotype, state_dict  # noqa: E402
 from test_controller import random_valid_genotype  # noqa: E402
 from test_metrics import (  # noqa: E402
     oracle_angle,

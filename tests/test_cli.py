@@ -111,6 +111,8 @@ class TestConfig:
         ({"train": {"batch": 0}}, "train.batch"),
         ({"search": {"batch": -3}}, "search.batch"),
         ({"aux": {"c_aux": 0}}, "aux.c_aux"),
+        ({"train": {"seed": -1}}, "train.seed"),
+        ({"search": {"seed": -1}}, "search.seed"),
     ])
     def test_values_of_other_type_or_range_rejected(self, user, named):
         with pytest.raises(ConfigError) as e:
@@ -120,6 +122,8 @@ class TestConfig:
     @pytest.mark.parametrize("command, over, named", [
         (["train", "--strategy", "joint"], {"train": {"batch": "4"}}, "train.batch"),
         (["search"], {"search": {"batch": 0}}, "search.batch"),
+        (["train", "--strategy", "joint"], {"train": {"seed": -1}}, "train.seed"),
+        (["search"], {"search": {"seed": -1}}, "search.seed"),
     ])
     def test_bad_value_exits_2(self, workdir, capsys, command, over, named):
         cfg = write_cfg(workdir, "bad_value", **over)
@@ -164,6 +168,7 @@ class TestGenData:
         (["--n", "4", "--val-n", "-1"], "val_n must be >= 0"),
         (["--n", "4", "--test-n", "-1"], "test_n must be >= 0"),
         (["--n", "3", "--val-n", "5"], "val_n=5"),
+        (["--n", "4", "--seed", "-1"], "seed must be >= 0"),
     ])
     def test_bad_argument_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, named):
         out = tmp_path / "bad"
@@ -460,6 +465,7 @@ class TestCompare:
         ("joint", "2,1,02", "--seeds must name at least one value, each once"),
         ("joint", ",", "--seeds must name at least one value, each once"),
         ("joint,single-t1,joint", "1", "--strategies must name at least one value, each once"),
+        ("joint", "1,-1", "--seeds must not be negative"),
     ])
     def test_bad_or_repeated_value_exits_2(self, workdir, capsys, strategies, seeds, named):
         cfg = write_cfg(workdir, "cmp_bad")

@@ -8,11 +8,12 @@ from auxnas.controller import (
     CodecError,
     ControllerPolicy,
     decode_tokens,
-    encode_genotype,
     loc_mask,
     seq_length,
 )
 from auxnas.layers import AdaptorOp, AggOp, GenotypeError
+
+from _helpers import encode_genotype
 
 
 def random_valid_genotype(rng, p, t, allow_own_task=True):
