@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor, tag_aux
+from .data import write_json
 from .layers import (
     AdaptorOp,
     AggOp,
@@ -46,17 +47,16 @@ class AuxCell:
         return [self.in1, self.in2, self.op1, self.op2, self.agg]
 
 
-def available_locations(p_taps: int, n_tasks: int, t: int, p: int,
-                        allow_own_task: bool = True) -> list[int]:
+def available_locations(p_taps: int, t: int, p: int) -> list[int]:
     """Legal input locations for cell p of task t (0-based).
 
     The P taps are always available; a cell output (t2, p2) is available
-    when p2 < p and t2 <= t (t2 < t under the strict cross-task-only
-    variant). Location index of cell (t2, p2) is P + t2*P + p2, matching
-    task-major generation order.
+    when p2 < p and t2 <= t, so a cell reads earlier cells of its own task
+    and of every earlier task. Location index of cell (t2, p2) is
+    P + t2*P + p2, matching task-major generation order.
     """
     locs = list(range(p_taps))
-    for t2 in range(t + 1 if allow_own_task else t):
+    for t2 in range(t + 1):
         for p2 in range(p):
             locs.append(p_taps + t2 * p_taps + p2)
     return locs
@@ -94,11 +94,11 @@ class Genotype:
                              if loc >= self.p)
         return live
 
-    def validate(self, allow_own_task: bool = True) -> None:
+    def validate(self) -> None:
         for t in range(self.t):
             for p in range(self.p):
                 cell = self.cells[t][p]
-                avail = set(available_locations(self.p, self.t, t, p, allow_own_task))
+                avail = set(available_locations(self.p, t, p))
                 for loc in (cell.in1, cell.in2):
                     if loc not in avail:
                         raise GenotypeError(
@@ -131,9 +131,7 @@ def genotype_from_json(doc: dict) -> Genotype:
 
 
 def save_genotype(path: str, g: Genotype) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(genotype_to_json(g), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, genotype_to_json(g))
 
 
 def load_genotype(path: str) -> Genotype:
@@ -198,14 +196,13 @@ class GenotypeAuxSet:
     """
 
     def __init__(self, genotype: Genotype, tasks: list[TaskSpec], ctx: BuildCtx,
-                 tap_channels: tuple[int, ...], c_aux: int,
-                 allow_own_task: bool = True):
+                 tap_channels: tuple[int, ...], c_aux: int):
         if genotype.t != len(tasks):
             raise GenotypeError(f"genotype supervises {genotype.t} tasks, model has {len(tasks)}")
         if genotype.p != len(tap_channels):
             raise GenotypeError(f"genotype has {genotype.p} cells/task, model exposes "
                                 f"{len(tap_channels)} taps")
-        genotype.validate(allow_own_task)
+        genotype.validate()
         self.genotype = genotype
         self.c_aux = c_aux
         self.live = genotype.live_cells()
@@ -274,9 +271,9 @@ def build_basic_aux(params: ParamSet, rng: np.random.Generator, task_indices: li
 
 def build_from_genotype(params: ParamSet, rng: np.random.Generator, genotype: Genotype,
                         tasks: list[TaskSpec], tap_channels: tuple[int, ...], c_aux: int,
-                        allow_own_task: bool = True, dtype=np.float32) -> GenotypeAuxSet:
+                        dtype=np.float32) -> GenotypeAuxSet:
     ctx = BuildCtx(params, rng, dtype)
-    return GenotypeAuxSet(genotype, tasks, ctx, tap_channels, c_aux, allow_own_task)
+    return GenotypeAuxSet(genotype, tasks, ctx, tap_channels, c_aux)
 
 
 def strip_aux(params: ParamSet) -> ParamSet:

@@ -29,7 +29,7 @@ from .metrics import METRICS_FOR_KIND
 from .model import ConfigError, P_TAPS, load_checkpoint
 from .search import search_loop
 from .procs import job_pool
-from .train import DataError, Strategy, _write_csv, run_strategy
+from .train import DataError, Strategy, _write_csv, parse_strategy, run_strategy
 
 import numpy as np
 
@@ -98,10 +98,8 @@ def cmd_search(args) -> int:
     write_resolved(cfg, out_dir)
     search_cfg = search_cfg_from_config(cfg)
     eval_cfg = eval_cfg_from_config(cfg, ds)
-    policy = ControllerPolicy(P_TAPS, len(cfg["model"]["tasks"]),
-                              np.random.default_rng(
-                                  np.random.SeedSequence([search_cfg.seed, 0xC011])),
-                              allow_own_task=cfg["aux"]["allow_own_task"])
+    policy = ControllerPolicy(P_TAPS, len(cfg["model"]["tasks"]), np.random.default_rng(
+        np.random.SeedSequence([search_cfg.seed, 0xC011])))
     result = search_loop(policy, search_cfg, eval_cfg)
     with open(os.path.join(out_dir, "search.log"), "w", newline="\n") as fh:
         for rec in result.records:  # every RewardRecord field, one record per line
@@ -127,7 +125,8 @@ def _metric_columns(cfg) -> list[str]:
 
 
 def _distinct(flag: str, text: str, parse) -> list:
-    """The comma-separated values of ``flag``: at least one, none repeated."""
+    """The comma-separated values of ``flag`` through ``parse``: at least
+    one, none repeated once parsed."""
     try:
         values = [parse(v.strip()) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -141,7 +140,7 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out_dir = cfg["output_dir"]
     ds = SyntheticDataset(cfg["data"]["dir"])
-    strategies = _distinct("--strategies", args.strategies, str)
+    strategies = _distinct("--strategies", args.strategies, lambda v: parse_strategy(v).name)
     seeds = _distinct("--seeds", args.seeds, int)
     if min(seeds) < 0:
         raise ConfigError(f"--seeds must not be negative, got {args.seeds!r}")

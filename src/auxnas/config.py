@@ -17,6 +17,7 @@ import os
 from dataclasses import fields
 
 from .auxiliary import load_genotype
+from .data import write_json
 from .layers import AGG_OP_NAMES
 from .model import ConfigError, TaskSpec
 from .search import EvalCfg, SearchCfg
@@ -32,7 +33,7 @@ DEFAULTS = {
     "data": {"dir": "data"},
     "model": {"variant": "baseline", "tasks": ["seg", "depth"]},
     "train": _defaults(TrainCfg),
-    "aux": {**_defaults(AuxCfg, "mode", "c_aux", "allow_own_task"),
+    "aux": {**_defaults(AuxCfg, "mode", "c_aux"),
             "agg": "sum", "genotype_path": None},
     "search": {**_defaults(SearchCfg), **_defaults(EvalCfg, "short_iters")},
     "output_dir": "out",
@@ -91,9 +92,7 @@ def load_config(path: str | None) -> dict:
 
 def write_resolved(cfg: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.resolved.json"), "w", newline="\n") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "config.resolved.json"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +120,7 @@ def aux_cfg_from_config(cfg: dict) -> AuxCfg:
         raise ConfigError(f"aux.mode {ac['mode']!r} invalid (basic | genotype)")
     if ac["agg"] not in AGG_OP_NAMES:
         raise ConfigError(f"aux.agg {ac['agg']!r} invalid")
-    return AuxCfg(mode=ac["mode"], agg=AGG_OP_NAMES.index(ac["agg"]), c_aux=ac["c_aux"],
-                  allow_own_task=ac["allow_own_task"])
+    return AuxCfg(mode=ac["mode"], agg=AGG_OP_NAMES.index(ac["agg"]), c_aux=ac["c_aux"])
 
 
 def strategy_from_config(cfg: dict, name: str) -> tuple[Strategy, AuxCfg]:
@@ -149,6 +147,4 @@ def eval_cfg_from_config(cfg: dict, dataset) -> EvalCfg:
                    tasks=tasks_from_config(cfg, dataset),
                    short_iters=cfg["search"]["short_iters"],
                    batch=cfg["train"]["batch"], lr0=cfg["train"]["lr0"],
-                   c_aux=cfg["aux"]["c_aux"],
-                   allow_own_task=cfg["aux"]["allow_own_task"],
-                   augment=cfg["train"]["augment"])
+                   c_aux=cfg["aux"]["c_aux"], augment=cfg["train"]["augment"])

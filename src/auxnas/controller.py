@@ -42,7 +42,7 @@ def role_of_position(i: int) -> str:
     return CELL_ROLES[i % 5]
 
 
-def decode_tokens(seq, p: int, t: int, allow_own_task: bool = True) -> Genotype:
+def decode_tokens(seq, p: int, t: int) -> Genotype:
     """Tokens -> Genotype, task-major. Genotype.validate's violations raise
     GenotypeError (recoverable: callers assign reward 0); a wrong length
     is a CodecError."""
@@ -51,14 +51,14 @@ def decode_tokens(seq, p: int, t: int, allow_own_task: bool = True) -> Genotype:
         raise CodecError(f"expected {seq_length(p, t)} tokens, got {len(seq)}")
     cells = [AuxCell(*seq[i:i + 5]) for i in range(0, len(seq), 5)]
     g = Genotype(p, t, tuple(tuple(cells[ti * p:(ti + 1) * p]) for ti in range(t)))
-    g.validate(allow_own_task)
+    g.validate()
     return g
 
 
-def loc_mask(p: int, t: int, ti: int, pi: int, allow_own_task: bool = True) -> np.ndarray:
+def loc_mask(p: int, t: int, ti: int, pi: int) -> np.ndarray:
     """Boolean availability over the full location head for cell (ti, pi)."""
     mask = np.zeros(loc_vocab_size(p, t), dtype=bool)
-    mask[available_locations(p, t, ti, pi, allow_own_task)] = True
+    mask[available_locations(p, ti, pi)] = True
     return mask
 
 
@@ -76,10 +76,8 @@ class ControllerPolicy:
     so gradients reach every parameter from the first update.
     """
 
-    def __init__(self, p: int, t: int, rng: np.random.Generator,
-                 allow_own_task: bool = True, dtype=np.float32):
+    def __init__(self, p: int, t: int, rng: np.random.Generator, dtype=np.float32):
         self.p, self.t = p, t
-        self.allow_own_task = allow_own_task
         self.length = seq_length(p, t)
         self.loc_v = loc_vocab_size(p, t)
         self.params = ParamSet()
@@ -118,7 +116,7 @@ class ControllerPolicy:
                 self._mask_add.append(None)
                 continue
             cell = pos // 5
-            m = loc_mask(p, t, cell // p, cell % p, allow_own_task)
+            m = loc_mask(p, t, cell // p, cell % p)
             self._mask_add.append(np.where(m, 0.0, MASK_VALUE).astype(dt))
 
     def _lstm_step(self, emb: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
@@ -129,34 +127,28 @@ class ControllerPolicy:
         c2 = ad.add(ad.mul(acts["f"], c), ad.mul(acts["i"], acts["g"]))
         return ad.mul(acts["o"], ad.tanh(c2)), c2
 
-    def _position_logp(self, pos: int, emb: Tensor, h: Tensor, c: Tensor):
-        """One step: returns (log-prob tensor (n, V), new h, new c)."""
-        h, c = self._lstm_step(emb, h, c)
-        role = role_of_position(pos)
-        w, b = self.heads[role]
-        logits = ad.linear(h, w, b)
-        madd = self._mask_add[pos]
-        if madd is not None:
-            n = logits.shape[0]
-            logits = ad.add(logits, Tensor(np.broadcast_to(madd, (n, len(madd))).copy()))
-        return ad.softmax_log(logits, axis=1), h, c
-
-    def _start_state(self, n: int):
+    def _rollout(self, n: int, pick) -> None:
+        """Run the controller over every position for n sequences. At each
+        position ``pick(pos, logp)`` gets the masked log-prob tensor (n, V)
+        and returns the (n,) tokens that are fed back as the next input."""
         dt = self.embed.dtype
-        zeros = lambda: Tensor(np.zeros((n, HIDDEN_DIM), dtype=dt))
-        return zeros(), zeros()
-
-    def _embed_ids(self, global_ids: np.ndarray) -> Tensor:
-        return ad.embedding(self.embed, global_ids)
+        h, c = (Tensor(np.zeros((n, HIDDEN_DIM), dtype=dt)) for _ in range(2))
+        prev = np.zeros(n, dtype=np.int64)  # START
+        for pos in range(self.length):
+            h, c = self._lstm_step(ad.embedding(self.embed, prev), h, c)
+            role = role_of_position(pos)
+            logits = ad.linear(h, *self.heads[role])
+            madd = self._mask_add[pos]
+            if madd is not None:
+                logits = ad.add(logits, Tensor(np.broadcast_to(madd, (n, len(madd))).copy()))
+            prev = pick(pos, ad.softmax_log(logits, axis=1)) + self._role_offset[role]
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> SampleBatch:
         """Autoregressive masked sampling of n sequences (no tape needed)."""
-        h, c = self._start_state(n)
-        prev = np.zeros(n, dtype=np.int64)  # START
         tokens = np.zeros((n, self.length), dtype=np.int64)
         logps = np.zeros((n, self.length))
-        for pos in range(self.length):
-            logp_t, h, c = self._position_logp(pos, self._embed_ids(prev), h, c)
+
+        def draw(pos, logp_t):
             logp = logp_t.values
             probs = np.exp(logp)
             u = rng.random(n)
@@ -167,7 +159,9 @@ class ControllerPolicy:
             tok = np.minimum(tok, last_pos)
             tokens[:, pos] = tok
             logps[:, pos] = logp[np.arange(n), tok]
-            prev = tok + self._role_offset[role_of_position(pos)]
+            return tok
+
+        self._rollout(n, draw)
         return SampleBatch(tokens=tokens, log_probs=logps)
 
     def score_tokens(self, tokens: np.ndarray):
@@ -176,21 +170,18 @@ class ControllerPolicy:
         n = tokens.shape[0]
         if tokens.shape[1] != self.length:
             raise CodecError(f"expected {self.length} tokens, got {tokens.shape[1]}")
-        h, c = self._start_state(n)
-        prev = np.zeros(n, dtype=np.int64)
         chosen, entropies = [], []
-        dt = self.embed.dtype
-        for pos in range(self.length):
-            logp_t, h, c = self._position_logp(pos, self._embed_ids(prev), h, c)
-            v = logp_t.shape[1]
-            onehot = np.zeros((n, v), dtype=dt)
+
+        def teacher(pos, logp_t):
+            onehot = np.zeros(logp_t.shape, dtype=self.embed.dtype)
             onehot[np.arange(n), tokens[:, pos]] = 1
             chosen.append(ad.reduce_sum(ad.mul(logp_t, Tensor(onehot)), axes=(1,)))
-            ent = ad.neg(ad.reduce_mean(
-                ad.reduce_sum(ad.mul(ad.exp(logp_t), logp_t), axes=(1,))))
-            entropies.append(ent)
-            prev = tokens[:, pos] + self._role_offset[role_of_position(pos)]
+            entropies.append(ad.neg(ad.reduce_mean(
+                ad.reduce_sum(ad.mul(ad.exp(logp_t), logp_t), axes=(1,)))))
+            return tokens[:, pos]
+
+        self._rollout(n, teacher)
         return chosen, entropies
 
     def decode(self, tokens) -> Genotype:
-        return decode_tokens(tokens, self.p, self.t, self.allow_own_task)
+        return decode_tokens(tokens, self.p, self.t)

@@ -44,6 +44,13 @@ def write_tensor_stream(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
 
 
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` with sorted keys, one-space indent and a final LF."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def read_exact(fh, size: int, what: str) -> bytes:
     """Read exactly ``size`` bytes; a short read raises FormatError, and so
     does a size past the end of the file, before anything is allocated."""
@@ -283,9 +290,7 @@ def gen_synthetic(out_dir: str, seed: int, n: int, h: int = 32, w: int = 32, k: 
                 fh, dtype = files[m]
                 fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
     manifest = {"n": n, "H": h, "W": w, "K": k, "seed": seed, "splits": splits}
-    with open(os.path.join(out_dir, "manifest.json"), "w", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
@@ -303,11 +308,21 @@ class SyntheticDataset:
         for key in ("n", "H", "W", "K", "splits"):
             if not isinstance(manifest, dict) or key not in manifest:
                 raise FormatError(f"{path}: the manifest has no {key!r}")
+            if key != "splits" and (type(manifest[key]) is not int or manifest[key] < 1):
+                raise FormatError(f"{path}: {key!r} must be a positive int, "
+                                  f"got {manifest[key]!r}")
         self.n = manifest["n"]
         self.h = manifest["H"]
         self.w = manifest["W"]
         self.k = manifest["K"]
-        self.splits = {name: list(idx) for name, idx in manifest["splits"].items()}
+        self.splits = manifest["splits"]
+        if not isinstance(self.splits, dict):
+            raise FormatError(f"{path}: 'splits' must be an object")
+        for name, idx in self.splits.items():
+            if not isinstance(idx, list) or any(type(i) is not int or not 0 <= i < self.n
+                                                for i in idx):
+                raise FormatError(f"{path}: split {name!r} must be a list of ints "
+                                  f"in [0, {self.n})")
         self.arrays = {}
         for m, (shape, dtype) in _stacked_layout(self.n, self.h, self.w).items():
             path = os.path.join(root, f"{m}.tnsr")

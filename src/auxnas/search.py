@@ -164,7 +164,6 @@ class EvalCfg:
     batch: int = 12
     lr0: float = 0.01
     c_aux: int = 16
-    allow_own_task: bool = True
     augment: bool = True
 
 
@@ -188,8 +187,7 @@ def evaluate_candidate(genotype: Genotype, cfg: EvalCfg, seed: int,
     train_cfg = TrainCfg(iters=cfg.short_iters, lr0=cfg.lr0, batch=cfg.batch,
                          seed=seed, eval_every=0, augment=cfg.augment,
                          probe_layers=())
-    aux_cfg = AuxCfg(mode="genotype", c_aux=cfg.c_aux, genotype=genotype,
-                     allow_own_task=cfg.allow_own_task)
+    aux_cfg = AuxCfg(mode="genotype", c_aux=cfg.c_aux, genotype=genotype)
     try:
         result = run_strategy(Strategy("auxi_nas", genotype=genotype), cfg.dataset,
                               cfg.variant, cfg.tasks, train_cfg, aux_cfg,

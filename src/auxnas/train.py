@@ -270,7 +270,6 @@ class AuxCfg:
     agg: int = int(AggOp.SUM)
     c_aux: int = 16
     genotype: Genotype | None = None
-    allow_own_task: bool = True
 
 
 @dataclass
@@ -308,7 +307,7 @@ def _build_setup(strategy: Strategy, variant: str, cfg_tasks: list[TaskSpec],
                 raise ConfigError(f"strategy {strategy.name} needs a genotype")
             setup.aux_set = build_from_genotype(
                 model.params, rng_aux, genotype, model_tasks, model.tap_channels,
-                aux_cfg.c_aux, aux_cfg.allow_own_task)
+                aux_cfg.c_aux)
         else:
             setup.aux_set = build_basic_aux(
                 model.params, rng_aux, aux_tasks, model_tasks, model.tap_channels,
@@ -381,6 +380,9 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
     training batches are built ahead in a forked producer process when a CPU
     is spare (``procs.batch_source``); the outputs are the same either way.
     """
+    for split in (train_split, eval_split):
+        if not ds.splits.get(split):
+            raise ConfigError(f"split {split!r} is empty")
     keep_freed_heap()
     ss = np.random.SeedSequence([train_cfg.seed, 0xA01])
     rng_init, rng_aux, rng_data, rng_augment = [
@@ -399,8 +401,6 @@ def run_strategy(strategy: Strategy, ds: SyntheticDataset, variant: str,
     probe_layers = tuple(train_cfg.probe_layers)
     probe_idx = probe_subsets(model.params, probe_layers)
     train_idx = ds.splits[train_split]
-    if not train_idx:
-        raise ConfigError(f"split {train_split!r} is empty")
 
     records: list[dict] = []
     eval_rows: list[dict] = []

@@ -18,10 +18,10 @@ def item(t: Tensor) -> float:
     return float(t.values)
 
 
-def encode_genotype(g, allow_own_task: bool = True) -> list[int]:
+def encode_genotype(g) -> list[int]:
     """Genotype -> tokens; the exact inverse of decode_tokens on valid input."""
     try:
-        g.validate(allow_own_task)
+        g.validate()
     except GenotypeError as e:
         raise CodecError(f"cannot encode invalid genotype: {e}") from e
     return g.tokens()

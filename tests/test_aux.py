@@ -53,21 +53,16 @@ def basic_chain_genotype(p, t):
 
 class TestAvailability:
     def test_taps_always_available(self):
-        assert available_locations(4, 2, 0, 0) == [0, 1, 2, 3]
+        assert available_locations(4, 0, 0) == [0, 1, 2, 3]
 
     def test_own_task_earlier_cells(self):
-        locs = available_locations(4, 1, 0, 2)
+        locs = available_locations(4, 0, 2)
         assert locs == [0, 1, 2, 3, 4, 5]
 
     def test_cross_task_rule(self):
         # task 2 (index 1), cell 1: taps + cells (t<=1, p<1)
-        locs = available_locations(4, 2, 1, 1)
+        locs = available_locations(4, 1, 1)
         assert locs == [0, 1, 2, 3, 4, 8]
-
-    def test_strict_variant_excludes_own_task(self):
-        locs = available_locations(4, 2, 1, 1, allow_own_task=False)
-        assert locs == [0, 1, 2, 3, 4]
-        assert available_locations(4, 1, 0, 2, allow_own_task=False) == [0, 1, 2, 3]
 
 
 class TestGenotype:
@@ -122,11 +117,6 @@ class TestGenotype:
         aux = build_from_genotype(ps, np.random.default_rng(0), g, TASKS2,
                                   (8, 16, 24, 32), C_AUX)
         assert len(aux.built) == 8
-
-    def test_strict_variant_rejects_own_task_chain(self):
-        g = basic_chain_genotype(4, 1)
-        with pytest.raises(GenotypeError):
-            g.validate(allow_own_task=False)
 
     def test_json_roundtrip(self, tmp_path):
         g = basic_chain_genotype(4, 2)

@@ -241,6 +241,7 @@ class TestTrain:
         ({"train": {"probe_seed": 20240501}}, "train.probe_seed"),
         ({"train": {"probe_count": 64}}, "train.probe_count"),
         ({"search": {"ppo": {"epochs": 4}}}, "search.ppo"),
+        ({"aux": {"allow_own_task": False}}, "aux.allow_own_task"),
     ])
     def test_removed_config_values_exit_2(self, workdir, capsys, over, named):
         cfg = write_cfg(workdir, "removed_value", **over)
@@ -312,6 +313,43 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--strategy", "joint"]) == 3
         err = capsys.readouterr().err
         assert "manifest.json" in err and (damage in texts or f"no {damage!r}" in err)
+
+    @pytest.mark.parametrize("damage, named", [
+        ({"splits": {"val": [999]}}, "'val'"),
+        ({"K": "5"}, "'K'"),
+        ({"splits": {"train": ["0"]}}, "'train'"),
+        ({"splits": {"train": [-1]}}, "'train'"),
+        ({"n": 0}, "'n'"),
+        ({"H": True}, "'H'"),
+        ({"W": 16.0}, "'W'"),
+        ({"splits": [[0]]}, "'splits'"),
+    ])
+    def test_manifest_value_out_of_domain_is_io_error(self, workdir, tmp_path, capsys,
+                                                      damage, named):
+        data_dir = tmp_path / "data"
+        gen_synthetic(str(data_dir), seed=5, n=8, h=16, w=16, val_n=2, test_n=2)
+        path = data_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for key, value in damage.items():
+            if key == "splits" and isinstance(value, dict):
+                manifest["splits"].update(value)
+            else:
+                manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        cfg = write_cfg(workdir, "manifest_domain", data={"dir": str(data_dir)})
+        assert main(["train", "--config", cfg, "--strategy", "joint"]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and named in err
+        assert not (workdir / "manifest_domain" / "run.csv").exists()
+
+    def test_empty_eval_split_exits_2_before_training(self, workdir, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["gen-data", "--seed", "5", "--n", "12", "--out", str(data_dir),
+                     "--h", "16", "--w", "16", "--val-n", "0", "--test-n", "2"]) == 0
+        cfg = write_cfg(workdir, "empty_val", data={"dir": str(data_dir)})
+        assert main(["train", "--config", cfg, "--strategy", "joint"]) == 2
+        assert "split 'val' is empty" in capsys.readouterr().err
+        assert not (workdir / "empty_val" / "run.csv").exists()
 
     def test_missing_dataset_is_io_error(self, workdir):
         cfg_path = workdir / "nodata.json"
@@ -466,6 +504,9 @@ class TestCompare:
         ("joint", ",", "--seeds must name at least one value, each once"),
         ("joint,single-t1,joint", "1", "--strategies must name at least one value, each once"),
         ("joint", "1,-1", "--seeds must not be negative"),
+        ("auxi-t2,auxi-t02", "1", "--strategies must name at least one value, each once"),
+        ("joint,JOINT", "1", "--strategies must name at least one value, each once"),
+        ("joint,nope", "1", "unknown strategy 'nope'"),
     ])
     def test_bad_or_repeated_value_exits_2(self, workdir, capsys, strategies, seeds, named):
         cfg = write_cfg(workdir, "cmp_bad")

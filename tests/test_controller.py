@@ -16,12 +16,12 @@ from auxnas.layers import AdaptorOp, AggOp, GenotypeError
 from _helpers import encode_genotype
 
 
-def random_valid_genotype(rng, p, t, allow_own_task=True):
+def random_valid_genotype(rng, p, t):
     cells = []
     for ti in range(t):
         row = []
         for pi in range(p):
-            avail = available_locations(p, t, ti, pi, allow_own_task)
+            avail = available_locations(p, ti, pi)
             in1, in2 = rng.choice(avail, size=2, replace=True)
             row.append(AuxCell(int(in1), int(in2), int(rng.integers(0, 6)),
                                int(rng.integers(0, 6)), int(rng.integers(0, 2))))
@@ -101,10 +101,9 @@ class TestSampling:
 
     def test_masked_probability_soundness(self):
         policy = self.make_policy()
-        h, c = policy._start_state(3)
-        prev = np.zeros(3, dtype=np.int64)
-        for pos in range(policy.length):
-            logp_t, h, c = policy._position_logp(pos, policy._embed_ids(prev), h, c)
+        seen = []
+
+        def check(pos, logp_t):
             probs = np.exp(logp_t.values)
             if policy._mask_add[pos] is not None:
                 allowed = policy._mask_add[pos] == 0
@@ -112,7 +111,21 @@ class TestSampling:
                 assert np.abs(probs[:, allowed].sum(axis=1) - 1.0).max() <= 1e-6
             else:
                 assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-6
-            prev = np.zeros(3, dtype=np.int64)
+            seen.append(pos)
+            return np.zeros(3, dtype=np.int64)
+
+        policy._rollout(3, check)
+        assert seen == list(range(policy.length))
+
+    @pytest.mark.parametrize("p,t", [(4, 2), (2, 3), (1, 1)])
+    def test_scored_log_probs_equal_sampled_bitwise(self, p, t):
+        # PPO's ratio is exp(score - sampled): both passes must apply the
+        # same mask and arithmetic, so an unchanged policy gives ratio 1
+        policy = self.make_policy(p, t, seed=5)
+        s = policy.sample(np.random.default_rng(2), n=16)
+        chosen, _ = policy.score_tokens(s.tokens)
+        scored = np.stack([c.values for c in chosen], axis=1)
+        assert np.array_equal(scored.astype(s.log_probs.dtype), s.log_probs)
 
     def test_uniform_init_marginals(self):
         policy = self.make_policy(p=2, t=1, seed=3)
