@@ -22,7 +22,7 @@ from .config import (
     train_cfg_from_config,
     write_resolved,
 )
-from .controller import CodecError, ControllerPolicy
+from .controller import ControllerPolicy
 from .data import FormatError, SyntheticDataset, gen_synthetic
 from .layers import GenotypeError
 from .metrics import METRICS_FOR_KIND
@@ -240,8 +240,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CodecError, GenotypeError, DataError,
-            json.JSONDecodeError) as e:
+    except (ConfigError, GenotypeError, DataError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, FormatError) as e:

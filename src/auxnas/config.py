@@ -39,7 +39,8 @@ DEFAULTS = {
     "output_dir": "out",
 }
 MINIMUM = {"train.batch": 1, "search.batch": 1, "aux.c_aux": 1,
-           "train.seed": 0, "search.seed": 0}
+           "train.seed": 0, "search.seed": 0, "train.iters": 1,
+           "search.short_iters": 1, "train.eval_every": 0, "search.candidates": 0}
 
 
 def _type_ok(dval, uval) -> bool:

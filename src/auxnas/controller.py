@@ -1,7 +1,8 @@
-"""Token codec and the recurrent controller policy.
+"""Token layout, location masks and the recurrent controller policy.
 
 A genotype flattens to 5*P*T tokens, five per cell in task-major cell
-order: two input locations, two adaptor ops, one aggregator. The location
+order: two input locations, two adaptor ops, one aggregator
+(Genotype.tokens and Genotype.from_tokens are the codec). The location
 head covers all P + P*T possible locations; at each position a mask
 removes locations the availability rule forbids, so sampled sequences
 always decode to availability-valid genotypes.
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamSet, Tensor
-from .auxiliary import AuxCell, Genotype, available_locations
+from .auxiliary import Genotype, available_locations
 from .layers import AdaptorOp, AggOp
 
 CELL_ROLES = ("loc", "loc", "op_ad", "op_ad", "op_ag")
@@ -24,10 +25,6 @@ N_AGG_OPS = len(AggOp)
 EMBED_DIM = 32
 HIDDEN_DIM = 64
 MASK_VALUE = -1e9
-
-
-class CodecError(Exception):
-    """Token sequence cannot be interpreted at all (wrong length/shape)."""
 
 
 def seq_length(p: int, t: int) -> int:
@@ -40,19 +37,6 @@ def loc_vocab_size(p: int, t: int) -> int:
 
 def role_of_position(i: int) -> str:
     return CELL_ROLES[i % 5]
-
-
-def decode_tokens(seq, p: int, t: int) -> Genotype:
-    """Tokens -> Genotype, task-major. Genotype.validate's violations raise
-    GenotypeError (recoverable: callers assign reward 0); a wrong length
-    is a CodecError."""
-    seq = [int(x) for x in seq]
-    if len(seq) != seq_length(p, t):
-        raise CodecError(f"expected {seq_length(p, t)} tokens, got {len(seq)}")
-    cells = [AuxCell(*seq[i:i + 5]) for i in range(0, len(seq), 5)]
-    g = Genotype(p, t, tuple(tuple(cells[ti * p:(ti + 1) * p]) for ti in range(t)))
-    g.validate()
-    return g
 
 
 def loc_mask(p: int, t: int, ti: int, pi: int) -> np.ndarray:
@@ -169,7 +153,7 @@ class ControllerPolicy:
         (each (n,)) and per-position mean-entropy tensors (each scalar)."""
         n = tokens.shape[0]
         if tokens.shape[1] != self.length:
-            raise CodecError(f"expected {self.length} tokens, got {tokens.shape[1]}")
+            raise ad.ContractError(f"expected {self.length} tokens, got {tokens.shape[1]}")
         chosen, entropies = [], []
 
         def teacher(pos, logp_t):
@@ -184,4 +168,4 @@ class ControllerPolicy:
         return chosen, entropies
 
     def decode(self, tokens) -> Genotype:
-        return decode_tokens(tokens, self.p, self.t)
+        return Genotype.from_tokens(self.p, self.t, tokens)

@@ -54,14 +54,11 @@ class BuildCtx:
 
 
 class ConvBN:
-    """conv (no bias) -> batch norm -> optional ReLU."""
+    """conv (no bias) -> batch norm -> ReLU."""
 
     def __init__(self, ctx: BuildCtx, prefix: str, tag: str, cin: int, cout: int, k: int,
-                 *, stride: int = 1, dilation: int = 1, groups: int = 1, pad: int = 0,
-                 act: bool = True, zero_init: bool = False):
-        w0 = np.zeros((cout, cin // groups, k, k), dtype=ctx.dtype) if zero_init \
-            else ctx.he_conv(cout, cin // groups, k)
-        self.w = ctx.ps.add(f"{prefix}.w", w0, tag)
+                 *, stride: int = 1, dilation: int = 1, groups: int = 1, pad: int = 0):
+        self.w = ctx.ps.add(f"{prefix}.w", ctx.he_conv(cout, cin // groups, k), tag)
         self.gamma = ctx.ps.add(f"{prefix}.bn_g", np.ones(cout, dtype=ctx.dtype), tag)
         self.beta = ctx.ps.add(f"{prefix}.bn_b", np.zeros(cout, dtype=ctx.dtype), tag)
         self.rmean = ctx.ps.add(f"{prefix}.bn_rm", np.zeros(cout, dtype=ctx.dtype), tag,
@@ -69,7 +66,6 @@ class ConvBN:
         self.rvar = ctx.ps.add(f"{prefix}.bn_rv", np.ones(cout, dtype=ctx.dtype), tag,
                                trainable=False)
         self.stride, self.dilation, self.groups, self.pad = stride, dilation, groups, pad
-        self.act = act
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
         y = ad.conv2d(x, self.w, stride=self.stride, dilation=self.dilation,
@@ -77,9 +73,9 @@ class ConvBN:
         return self.normalize(y, mode)
 
     def normalize(self, y: Tensor, mode: str) -> Tensor:
-        """The block's BN, then ReLU when act is set, on a conv output."""
+        """The block's BN, then ReLU, on a conv output."""
         y = ad.batch_norm(y, self.gamma, self.beta, self.rmean, self.rvar, mode=mode)
-        return ad.relu(y) if self.act else y
+        return ad.relu(y)
 
 
 class Conv:
@@ -95,11 +91,6 @@ class Conv:
 
     def __call__(self, x: Tensor, mode: str = "train") -> Tensor:
         return ad.conv2d(x, self.w, self.b, pad=self.pad)
-
-
-def build_basic_adaptor(ctx: BuildCtx, prefix: str, tag: str, cin: int, c_aux: int) -> ConvBN:
-    """The hand-designed adaptor: 1x1 conv -> BN -> ReLU into the aux width."""
-    return ConvBN(ctx, prefix, tag, cin, c_aux, 1)
 
 
 class SepConv:

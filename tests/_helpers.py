@@ -3,9 +3,7 @@
 import numpy as np
 
 from auxnas.autodiff import Tensor
-from auxnas.controller import CodecError
 from auxnas.data import write_tensor_stream
-from auxnas.layers import GenotypeError
 
 
 def constant(values, dtype=np.float32) -> Tensor:
@@ -16,15 +14,6 @@ def constant(values, dtype=np.float32) -> Tensor:
 def item(t: Tensor) -> float:
     """The value of a one-element tensor."""
     return float(t.values)
-
-
-def encode_genotype(g) -> list[int]:
-    """Genotype -> tokens; the exact inverse of decode_tokens on valid input."""
-    try:
-        g.validate()
-    except GenotypeError as e:
-        raise CodecError(f"cannot encode invalid genotype: {e}") from e
-    return g.tokens()
 
 
 def n_values(params, *tags: str) -> int:

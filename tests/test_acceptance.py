@@ -14,9 +14,9 @@ import pytest
 
 from auxnas import autodiff as ad
 from auxnas.autodiff import Tape, Tensor, parameter
-from auxnas.auxiliary import build_basic_aux, strip_aux
+from auxnas.auxiliary import Genotype, build_basic_aux, strip_aux
 from auxnas.cli import main as cli_main
-from auxnas.controller import ControllerPolicy, decode_tokens, seq_length
+from auxnas.controller import ControllerPolicy, seq_length
 from auxnas.data import SyntheticDataset, gen_synthetic
 from auxnas.layers import AdaptorOp, AggOp, deform_conv3x3
 from auxnas.model import TaskSpec, build_model, load_checkpoint
@@ -40,7 +40,7 @@ import os
 
 sys.path.insert(0, os.path.dirname(__file__))
 from _gradcheck import check_grads  # noqa: E402
-from _helpers import encode_genotype, state_dict  # noqa: E402
+from _helpers import state_dict  # noqa: E402
 from test_controller import random_valid_genotype  # noqa: E402
 from test_metrics import (  # noqa: E402
     oracle_angle,
@@ -286,9 +286,9 @@ class TestCriterion4Codec:
             p = int(rng.integers(1, 5))
             t = int(rng.integers(1, 4))
             g0 = random_valid_genotype(rng, p, t)
-            seq = encode_genotype(g0)
+            seq = g0.tokens()
             assert len(seq) == seq_length(p, t) == 5 * p * t
-            assert decode_tokens(seq, p, t) == g0
+            assert Genotype.from_tokens(p, t, seq) == g0
         ok(4, "10000/10000 controller samples decode validly; 10000/10000 random "
               "valid genotypes round-trip; length = 5*P*T")
 

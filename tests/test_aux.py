@@ -20,9 +20,8 @@ from auxnas.auxiliary import (
     save_genotype,
     strip_aux,
 )
-from auxnas.layers import AdaptorOp, AggOp, BuildCtx, GenotypeError
+from auxnas.layers import AdaptorOp, AggOp, GenotypeError
 from auxnas.model import TaskSpec, build_model, load_checkpoint, save_checkpoint
-from auxnas.auxiliary import BasicAuxModule
 from auxnas.train import sgd_step
 from test_controller import random_valid_genotype
 
@@ -68,7 +67,6 @@ class TestAvailability:
 class TestGenotype:
     def test_minimal_genotype_builds(self):
         g = Genotype(1, 1, ((cell(0, 0),),))
-        g.validate()
         ps = ParamSet()
         aux = build_from_genotype(ps, np.random.default_rng(0), g,
                                   [TaskSpec("depth")], (8,), C_AUX)
@@ -82,7 +80,6 @@ class TestGenotype:
             # task 2 cell 1 reads task 1 cell 0 (loc 2) and its own cell 0 (loc 4)
             (cell(1, 0), cell(2, 4, AdaptorOp.SKIP_CONNECT, AdaptorOp.SKIP_CONNECT)),
         ))
-        g.validate()
         ps = ParamSet()
         aux = build_from_genotype(ps, np.random.default_rng(0), g, TASKS2, (8, 16), C_AUX)
         rng = np.random.default_rng(2)
@@ -93,26 +90,22 @@ class TestGenotype:
         assert preds[2].shape == (1, 1, 16, 16)
 
     def test_unavailable_location_rejected(self):
-        g = Genotype(4, 1, ((cell(4, 0), cell(0, 0), cell(0, 0), cell(0, 0)),))
         with pytest.raises(GenotypeError):
-            g.validate()
+            Genotype(4, 1, ((cell(4, 0), cell(0, 0), cell(0, 0), cell(0, 0)),))
 
     def test_forward_reference_rejected(self):
         # task 2 cell 0 cannot read task 1 cell 0 (needs p' < p)
-        g = Genotype(1, 2, ((cell(0, 0),), (cell(1, 0),)))
         with pytest.raises(GenotypeError):
-            g.validate()
+            Genotype(1, 2, ((cell(0, 0),), (cell(1, 0),)))
 
     def test_skip_on_raw_tap_invalid_at_build(self):
-        g = Genotype(1, 1, ((cell(0, 0, AdaptorOp.SKIP_CONNECT),),))
-        g.validate()  # availability-valid
+        g = Genotype(1, 1, ((cell(0, 0, AdaptorOp.SKIP_CONNECT),),))  # availability-valid
         with pytest.raises(GenotypeError):
             build_from_genotype(ParamSet(), np.random.default_rng(0), g,
                                 [TaskSpec("depth")], (8,), C_AUX)
 
     def test_basic_chain_is_in_search_space(self):
         g = basic_chain_genotype(4, 2)
-        g.validate()
         ps = ParamSet()
         aux = build_from_genotype(ps, np.random.default_rng(0), g, TASKS2,
                                   (8, 16, 24, 32), C_AUX)
@@ -133,10 +126,10 @@ def full_forward(aux, taps, out_hw, mode):
     """Reference forward: evaluate every built cell, live or dead."""
     ref_hw = taps[0].shape[2:]
     locs = list(taps)
-    for bc in aux.built:
-        a1 = _align(bc.op1(locs[bc.cell.in1], mode), ref_hw)
-        a2 = _align(bc.op2(locs[bc.cell.in2], mode), ref_hw)
-        locs.append(bc.agg(a1, a2, mode))
+    for c, op1, op2, agg in aux.built:
+        a1 = _align(op1(locs[c.in1], mode), ref_hw)
+        a2 = _align(op2(locs[c.in2], mode), ref_hw)
+        locs.append(agg(a1, a2, mode))
     p = aux.genotype.p
     return {t: head(locs[len(taps) + (t - 1) * p + p - 1], out_hw[0], out_hw[1], mode)
             for t, head in aux.heads.items()}
@@ -197,7 +190,6 @@ class TestLiveCells:
             (cell(0, 0), cell(0, 1)),  # task 1's head reads taps only
             (cell(1, 0), cell(2, 1, AdaptorOp.SKIP_CONNECT)),  # reads task 1 cell 0
         ))
-        g.validate()
         assert g.live_cells() == {0, 1, 3}
 
     def test_p1_every_cell_feeds_its_head(self):
@@ -206,7 +198,6 @@ class TestLiveCells:
 
     def test_dead_raw_skip_still_invalid_at_build(self):
         g = Genotype(2, 1, ((cell(0, 0, AdaptorOp.SKIP_CONNECT), cell(0, 1)),))
-        g.validate()
         assert g.live_cells() == {1}
         with pytest.raises(GenotypeError):
             build_from_genotype(ParamSet(), np.random.default_rng(0), g,
@@ -265,17 +256,17 @@ class TestLiveCells:
 
 class TestBasicAux:
     def test_p1_base_case(self):
-        ps = ParamSet()
-        ctx = BuildCtx(ps, np.random.default_rng(0))
-        mod = BasicAuxModule(ctx, 1, TaskSpec("depth"), (8,), C_AUX, AggOp.SUM)
-        assert len(mod.adaptors) == 1 and len(mod.aggs) == 0
+        aux = build_basic_aux(ParamSet(), np.random.default_rng(0), [1], [TaskSpec("depth")],
+                              (8,), C_AUX, AggOp.SUM)
+        adaptors, aggs, _ = aux.chains[1]
+        assert len(adaptors) == 1 and len(aggs) == 0
 
     def test_p4_chain_counts(self):
         ps = ParamSet()
         aux = build_basic_aux(ps, np.random.default_rng(0), [1], TASKS2,
                               (8, 16, 24, 32), C_AUX, AggOp.SUM)
-        mod = aux.modules[1]
-        assert len(mod.adaptors) == 4 and len(mod.aggs) == 3
+        adaptors, aggs, _ = aux.chains[1]
+        assert len(adaptors) == 4 and len(aggs) == 3
 
     def test_aux_pred_matches_main_shape(self):
         m = make_model()

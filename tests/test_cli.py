@@ -113,6 +113,11 @@ class TestConfig:
         ({"aux": {"c_aux": 0}}, "aux.c_aux"),
         ({"train": {"seed": -1}}, "train.seed"),
         ({"search": {"seed": -1}}, "search.seed"),
+        ({"train": {"iters": -3}}, "train.iters"),
+        ({"train": {"iters": 0}}, "train.iters"),
+        ({"search": {"short_iters": 0}}, "search.short_iters"),
+        ({"train": {"eval_every": -1}}, "train.eval_every"),
+        ({"search": {"candidates": -1}}, "search.candidates"),
     ])
     def test_values_of_other_type_or_range_rejected(self, user, named):
         with pytest.raises(ConfigError) as e:
@@ -124,6 +129,8 @@ class TestConfig:
         (["search"], {"search": {"batch": 0}}, "search.batch"),
         (["train", "--strategy", "joint"], {"train": {"seed": -1}}, "train.seed"),
         (["search"], {"search": {"seed": -1}}, "search.seed"),
+        (["train", "--strategy", "joint"], {"train": {"iters": -3}}, "train.iters"),
+        (["search"], {"search": {"short_iters": 0}}, "search.short_iters"),
     ])
     def test_bad_value_exits_2(self, workdir, capsys, command, over, named):
         cfg = write_cfg(workdir, "bad_value", **over)
@@ -247,6 +254,20 @@ class TestTrain:
         cfg = write_cfg(workdir, "removed_value", **over)
         assert main(["train", "--config", cfg, "--strategy", "joint"]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"P": 4, "T": 2, "op_vocab_version": 1},
+        {"P": "x", "T": 2, "op_vocab_version": 1, "cells": [[0, 0, 1, 1, 0]] * 8},
+        [[0, 0, 1, 1, 0]] * 8,
+        {"P": 4, "T": 2, "op_vocab_version": 1, "cells": [[0, "a", 1, 1, 0]] * 8},
+        {"P": 1, "T": 1, "op_vocab_version": 1, "cells": [[0, 0, 1]]},
+    ], ids=["no_cells", "P_not_int", "list", "str_token", "short_row"])
+    def test_malformed_genotype_file_exits_2(self, workdir, capsys, doc):
+        path = workdir / "malformed.genotype.json"
+        path.write_text(json.dumps(doc))
+        cfg = write_cfg(workdir, "malformed_genotype", aux={"genotype_path": str(path)})
+        assert main(["train", "--config", cfg, "--strategy", "auxi-nas"]) == 2
+        assert capsys.readouterr().err.startswith("error: genotype")
 
     def test_auxi_single_trains_basic_modules_under_genotype_mode(self, workdir):
         donor_cfg = write_cfg(workdir, "gmode_donor")

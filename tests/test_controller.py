@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
+from auxnas.autodiff import ContractError
 from auxnas.auxiliary import AuxCell, Genotype, available_locations
-from auxnas.controller import (
-    CodecError,
-    ControllerPolicy,
-    decode_tokens,
-    loc_mask,
-    seq_length,
-)
+from auxnas.controller import ControllerPolicy, loc_mask, seq_length
 from auxnas.layers import AdaptorOp, AggOp, GenotypeError
-
-from _helpers import encode_genotype
 
 
 def random_valid_genotype(rng, p, t):
@@ -35,7 +28,7 @@ class TestCodec:
         assert seq_length(1, 1) == 5
 
     def test_all_zeros_decode(self):
-        g = decode_tokens([0] * 40, 4, 2)
+        g = Genotype.from_tokens(4, 2, [0] * 40)
         for task_cells in g.cells:
             for c in task_cells:
                 assert (c.in1, c.in2) == (0, 0)
@@ -43,18 +36,18 @@ class TestCodec:
                 assert c.agg == AggOp.SUM
 
     def test_encode_of_all_zeros_is_all_zeros(self):
-        g = decode_tokens([0] * 40, 4, 2)
-        assert encode_genotype(g) == [0] * 40
+        g = Genotype.from_tokens(4, 2, [0] * 40)
+        assert g.tokens() == [0] * 40
 
     def test_unavailable_first_cell_location(self):
         seq = [0] * 20
         seq[0] = 4 + 3  # only the 4 taps exist at the first cell
         with pytest.raises(GenotypeError):
-            decode_tokens(seq, 4, 1)
+            Genotype.from_tokens(4, 1, seq)
 
     def test_length_mismatch_is_codec_error(self):
-        with pytest.raises(CodecError):
-            decode_tokens([0] * 13, 4, 2)
+        with pytest.raises(GenotypeError):
+            Genotype.from_tokens(4, 2, [0] * 13)
 
     def test_roundtrip_property(self):
         rng = np.random.default_rng(99)
@@ -62,24 +55,22 @@ class TestCodec:
             p = int(rng.integers(1, 5))
             t = int(rng.integers(1, 4))
             g = random_valid_genotype(rng, p, t)
-            seq = encode_genotype(g)
+            seq = g.tokens()
             assert len(seq) == seq_length(p, t)
-            assert decode_tokens(seq, p, t) == g
+            assert Genotype.from_tokens(p, t, seq) == g
 
     def test_cross_task_reference_roundtrip(self):
         g = Genotype(2, 2, (
             (AuxCell(0, 1, 1, 1, 0), AuxCell(2, 1, 4, 1, 1)),
             (AuxCell(1, 0, 0, 2, 0), AuxCell(2, 4, 4, 4, 0)),
         ))
-        seq = encode_genotype(g)
-        back = decode_tokens(seq, 2, 2)
+        back = Genotype.from_tokens(2, 2, g.tokens())
         assert back == g
         assert back.cells[1][1].in1 == 2  # still points at task 1 cell 0
 
     def test_encode_rejects_invalid(self):
-        g = Genotype(1, 2, ((AuxCell(0, 0, 1, 1, 0),), (AuxCell(1, 0, 1, 1, 0),)))
-        with pytest.raises(CodecError):
-            encode_genotype(g)
+        with pytest.raises(GenotypeError):
+            Genotype(1, 2, ((AuxCell(0, 0, 1, 1, 0),), (AuxCell(1, 0, 1, 1, 0),)))
 
 
 class TestSampling:
@@ -126,6 +117,11 @@ class TestSampling:
         chosen, _ = policy.score_tokens(s.tokens)
         scored = np.stack([c.values for c in chosen], axis=1)
         assert np.array_equal(scored.astype(s.log_probs.dtype), s.log_probs)
+
+    def test_score_tokens_rejects_wrong_length(self):
+        policy = self.make_policy(p=2, t=1)
+        with pytest.raises(ContractError):
+            policy.score_tokens(np.zeros((3, policy.length + 1), dtype=np.int64))
 
     def test_uniform_init_marginals(self):
         policy = self.make_policy(p=2, t=1, seed=3)

@@ -10,11 +10,11 @@ from auxnas.layers import (
     AggOp,
     Aspp,
     BuildCtx,
+    ConvBN,
     GenotypeError,
     TaskHead,
     build_adaptor_op,
     build_aggregator,
-    build_basic_adaptor,
     deform_conv3x3,
 )
 
@@ -50,7 +50,7 @@ class TestEnums:
 class TestBasicAdaptor:
     def test_constructed_passthrough(self, ctx64):
         # identity-like rows with unit gamma and zero beta in eval mode
-        block = build_basic_adaptor(ctx64, "adapt", "shared", 3, 3)
+        block = ConvBN(ctx64, "adapt", "shared", 3, 3, 1)
         w = np.zeros((3, 3, 1, 1))
         for i in range(3):
             w[i, i, 0, 0] = 1.0
@@ -62,14 +62,14 @@ class TestBasicAdaptor:
         assert np.allclose(out.values, expect, atol=1e-6)
 
     def test_output_channel_contract(self, ctx64):
-        block = build_basic_adaptor(ctx64, "adapt", "shared", 5, C_AUX)
+        block = ConvBN(ctx64, "adapt", "shared", 5, C_AUX, 1)
         rng = np.random.default_rng(1)
         out = block(x64(rng, 2, 5, 4, 4), "train")
         assert out.shape == (2, C_AUX, 4, 4)
 
     def test_grad_through_composite(self, ctx64):
         rng = np.random.default_rng(2)
-        block = build_basic_adaptor(ctx64, "adapt", "shared", 3, 4)
+        block = ConvBN(ctx64, "adapt", "shared", 3, 4, 1)
         x = parameter(0.5 * rng.standard_normal((2, 3, 4, 4)), dtype=np.float64)
 
         def loss():
